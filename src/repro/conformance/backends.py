@@ -7,9 +7,6 @@ The library can answer ``ans(φ, A)`` five independent ways:
 ``algebra``           the FO → relational algebra compiler (FO = RA)
 ``engine``            the planned/cached engine, fast path included
 ``engine-batch``      the engine's batched APIs (parallel execution path)
-``engine-columnar``   the engine with the columnar tier forced
-                      (``executor="columnar"``): compiled integer-key
-                      kernel pipelines instead of the tuple executor
 ``circuit``           the AC⁰ circuit family (FO ⊆ AC⁰ construction)
 ``bounded-degree``    the census evaluator (Thms 3.10/3.11), table shared
                       across structures so the Hanf memoization itself is
@@ -171,8 +168,8 @@ def _constant_free(structure: Structure, formula: Formula) -> tuple[bool, str]:
     return True, ""
 
 
-def _engine_backend(name: str, batched: bool, executor: str | None = None) -> Backend:
-    engine = Engine(domain="universe", executor=executor)
+def _engine_backend(name: str, batched: bool) -> Backend:
+    engine = Engine(domain="universe")
 
     def compute(
         structure: Structure, formula: Formula, token: CancelToken | None = None
@@ -440,7 +437,6 @@ DEFAULT_BACKENDS = (
     "algebra",
     "engine",
     "engine-batch",
-    "engine-columnar",
     "circuit",
     "bounded-degree",
     "resilient",
@@ -464,10 +460,6 @@ def default_registry(degree_bound: int = 3) -> BackendRegistry:
     )
     registry.register(_engine_backend("engine", batched=False))
     registry.register(_engine_backend("engine-batch", batched=True))
-    # The columnar tier forced on every plan — cost-based dispatch would
-    # route small/large plans to it anyway, but the conformance gate
-    # wants the kernels exercised on *every* case, not a cost band.
-    registry.register(_engine_backend("engine-columnar", batched=False, executor="columnar"))
     registry.register(_circuit_backend())
     registry.register(_bounded_degree_backend(degree_bound))
     registry.register(_resilient_backend(degree_bound))

@@ -1,7 +1,7 @@
 """The query engine (S3+): planned, cached, locality-aware FO evaluation.
 
 ``repro.engine`` is the production path for answering FO queries —
-normalize → statistics → cost-based plan → hash-join execution — with an
+normalize → statistics → cost-based plan → columnar execution — with an
 LRU plan cache, a per-structure answer cache, and a bounded-degree fast
 path that realizes Theorem 3.11 inside the engine. The naive evaluator
 (:mod:`repro.eval.evaluator`) remains as the reference oracle; the

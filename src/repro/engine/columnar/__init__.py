@@ -11,13 +11,14 @@ Three layers (see DESIGN S20):
   project/extend/complement/union over those keys;
 * :mod:`~repro.engine.columnar.compile` + ``executor`` — plan trees
   compiled bottom-up into pipelines of kernel closures (σπ fused into
-  scans, π fused into join probe loops), cached on the structure, and
-  interpreted by :class:`ColumnarExecutor` with the same observability,
-  budget, and semijoin-filter semantics as the tuple executor.
+  scans, π fused into join probe loops), cached on the structure for the
+  lifetime of their plan, and interpreted by :class:`ColumnarExecutor`
+  with per-step actuals, row budgets and semijoin filtering.
 
-Selection happens in :class:`repro.engine.engine.Engine` — the
-``executor`` parameter / ``REPRO_EXECUTOR`` env var force a tier, and
-the default ``auto`` mode dispatches on plan cost.
+This is the engine's only executor: :class:`repro.engine.engine.Engine`
+runs every plan here, including :meth:`~repro.engine.engine.Engine.profile`
+(EXPLAIN ANALYZE). :class:`repro.engine.executor.Executor` is kept as a
+reference interpreter for tests and benchmarks.
 """
 
 from repro.engine.columnar.codec import (

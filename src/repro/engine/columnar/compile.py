@@ -7,7 +7,7 @@
 tree of direct calls with zero per-node ``isinstance`` dispatch and zero
 intermediate :class:`~repro.eval.algebra.Relation` allocation.
 
-Fusion collapses nodes the tuple executor materializes separately:
+Fusion collapses nodes the reference interpreter materializes separately:
 
 * ``Project(Join)`` — the projection becomes the join kernel's emit
   expression, so the joined row never exists; only the projected key is
@@ -27,6 +27,7 @@ calls.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable
 
 from repro.errors import EvaluationError
@@ -58,12 +59,14 @@ class PipelineNode:
 
     ``fn`` consumes the children's key sets and returns this node's key
     set; ``kind`` names the primary operator (the fused ``Project(Join)``
-    keeps kind ``"Join"``) for stats and telemetry; ``plan`` is the
-    outermost plan node this step realizes, which is what EXPLAIN
-    recorders key on. Join nodes additionally carry the two semijoin
-    pre-filter kernels — whether to apply them is the *executor's*
-    runtime decision (it depends on engine configuration and input
-    sizes), so one cached pipeline serves every configuration.
+    keeps kind ``"Join"``) for stats and telemetry; ``plan_id`` is the
+    ``id()`` of the outermost plan node this step realizes, which is what
+    EXPLAIN recorders key on (an id, not the node: a cached pipeline must
+    not keep its plan alive, see :class:`CompiledPlan`). Join nodes
+    additionally carry the two semijoin pre-filter kernels — whether to
+    apply them is the *executor's* runtime decision (it depends on
+    engine configuration and input sizes), so one cached pipeline serves
+    every configuration.
 
     ``cache`` memoizes *leaf* results: a leaf's output depends only on
     the structure at the pipeline's epoch and the pipeline's fixed
@@ -80,7 +83,7 @@ class PipelineNode:
     """
 
     __slots__ = (
-        "plan",
+        "plan_id",
         "kind",
         "fn",
         "children",
@@ -102,7 +105,7 @@ class PipelineNode:
         semi_right: Callable | None = None,
         relation: str | None = None,
     ) -> None:
-        self.plan = plan
+        self.plan_id = id(plan)
         self.kind = kind
         self.fn = fn
         self.children = children
@@ -116,8 +119,10 @@ class PipelineNode:
 class CompiledPlan:
     """A plan compiled against one (structure, domain): root + codec.
 
-    Holds a strong reference to the plan object — pipeline caches key by
-    ``id(plan)``, and this reference is what keeps that id stable.
+    ``plan`` is a weak reference to the compiled plan: the executor's
+    pipeline cache keys by ``id(plan)`` and evicts the entry when the
+    plan dies, so a pipeline lives exactly as long as the plan-cache
+    entry that owns its plan.
 
     ``epoch`` stamps the structure state the leaf memos were (or will
     be) materialized against.  The executor compares it on every fetch:
@@ -132,7 +137,7 @@ class CompiledPlan:
     def __init__(
         self, plan: Plan, root: PipelineNode, codec: DomainCodec, packed: bool
     ) -> None:
-        self.plan = plan
+        self.plan = weakref.ref(plan)
         self.root = root
         self.codec = codec
         self.packed = packed
@@ -149,6 +154,35 @@ class CompiledPlan:
             elif node.relation in touched:
                 node.cache = None
         self.epoch = epoch
+
+    def fused_into(self, plan: Plan) -> dict[int, Plan]:
+        """Where each plan node without a pipeline step of its own went.
+
+        Maps ``id()`` of every node of ``plan`` that fusion folded away
+        (the ``Join`` under a fused projection, a dropped identity
+        ``Project``, the ``Union`` under a De Morgan complement, ...) to
+        its nearest ancestor that does own a step — the node whose
+        recorded actuals include its work.  The root always counts as a
+        step: the executor records the root's actuals even when
+        compilation dropped the root node itself.
+        """
+        steps = {id(plan)}
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            steps.add(node.plan_id)
+            stack.extend(node.children)
+        fused: dict[int, Plan] = {}
+        pending = [(plan, plan)]
+        while pending:
+            node, owner = pending.pop()
+            for child in node.children():
+                if id(child) in steps:
+                    pending.append((child, child))
+                else:
+                    fused[id(child)] = owner
+                    pending.append((child, owner))
+        return fused
 
 
 def _walk(plan: Plan):
@@ -426,7 +460,7 @@ class _Builder:
         difference with one ``set.difference`` over the small side.
         """
         for pick, part in enumerate(union.parts):
-            negated = self._negated(part)
+            negated = self._negated(part, plan)
             if negated is None:
                 continue
             others = tuple(
@@ -441,8 +475,14 @@ class _Builder:
             return PipelineNode(plan, "Complement", fn, (negated,) + others)
         return None
 
-    def _negated(self, part: Plan) -> PipelineNode | None:
-        """A pipeline computing ``¬part``, when that is cheap — else None."""
+    def _negated(self, part: Plan, owner: Complement) -> PipelineNode | None:
+        """A pipeline computing ``¬part``, when that is cheap — else None.
+
+        The cylinder step computes ``¬part``, which no plan node denotes,
+        so it records under ``owner`` (the fused complement); the owner's
+        own step runs later and overwrites that entry, leaving ``part``
+        and its ``Extend``/``Complement`` reported as fused into it.
+        """
         if isinstance(part, Complement):
             return self.build(part.child)
         if isinstance(part, Project) and isinstance(part.child, Extend):
@@ -461,7 +501,7 @@ class _Builder:
                     len(inner), len(new), insert_at, self.base
                 )
                 return PipelineNode(
-                    part, "Extend", fn, (self.build(extend.child.child),)
+                    owner, "Extend", fn, (self.build(extend.child.child),)
                 )
         return None
 

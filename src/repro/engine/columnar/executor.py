@@ -1,35 +1,36 @@
 """The columnar executor: compiled kernel pipelines → :class:`Relation`.
 
-Drop-in alternative to :class:`repro.engine.executor.Executor` with the
-same constructor and ``run`` contract, but a completely different inner
-loop: the plan is compiled once per (structure, domain) into a tree of
-generated kernel closures over integer-coded rows
-(:mod:`repro.engine.columnar.compile`), cached on the structure, and
-re-executions just walk that tree. Element objects only reappear at the
-plan root, where the (usually small) answer key set is bulk-decoded.
+The engine's only production executor.  Each plan is compiled once per
+(structure, domain) into a tree of generated kernel closures over
+integer-coded rows (:mod:`repro.engine.columnar.compile`), cached on the
+structure for as long as the plan object lives, and re-executions just
+walk that tree.  Element objects only reappear at the plan root, where
+the (usually small) answer key set is bulk-decoded.
 
-Parity with the tuple executor is deliberate and load-bearing:
+It keeps the contract of the reference interpreter
+:class:`repro.engine.executor.Executor` (same constructor, same ``run``):
 
-* the same per-node observability — ``executor.{ops,rows,ms}.<Op>``
-  counters/histograms under telemetry, ``NodeActuals`` per plan node
-  when a recorder is attached (fused nodes record under the outermost
-  plan node; the swallowed inner node simply has no actuals);
-* the same budget semantics — ``CancelToken.consume_rows`` per
-  materialized node, so row budgets and deadlines trip at the operator
-  that blew up;
-* the same semijoin pre-filter policy — ``semijoin_filtering`` plus the
+* per-node observability — ``executor.{ops,rows,ms}.<Op>``
+  counters/histograms under telemetry, ``NodeActuals`` per pipeline
+  step when a recorder is attached.  A step fused from several plan
+  nodes records under the outermost one; :meth:`CompiledPlan.fused_into`
+  names that owner for every node fusion swallowed, which is how
+  EXPLAIN ANALYZE reports them;
+* budget semantics — ``CancelToken.consume_rows`` per materialized
+  step, so row budgets and deadlines trip at the operator that blew up;
+* the semijoin pre-filter policy — ``semijoin_filtering`` plus the
   :data:`~repro.engine.executor.SEMIJOIN_THRESHOLD` size gate, counted
   in ``ExecutionStats.semijoin_filters`` — applied at run time so one
   cached pipeline serves every engine configuration.
 
-The tuple executor remains the conformance reference; the
-``engine-columnar`` backend in :mod:`repro.conformance.backends` holds
-this tier to exact answer-set agreement.
+Answer-set agreement with the reference interpreter and the naive
+evaluator is held by the tier-1 tests and the conformance campaign.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from typing import MutableMapping
 
 from repro.resilience.budget import CancelToken
@@ -72,21 +73,49 @@ class ColumnarExecutor:
     def run(self, plan: Plan) -> Relation:
         compiled = self._compiled(plan)
         keys = self._exec(compiled.root)
+        recorder = self.recorder
+        if recorder is not None and compiled.root.plan_id != id(plan):
+            # Compilation dropped the root itself (identity projection,
+            # double complement): its output is the root step's output.
+            recorder[id(plan)] = recorder[compiled.root.plan_id]
         rows = compiled.codec.decode_rows(keys, plan.arity, compiled.packed)
         return Relation._make(plan.attributes, rows)
+
+    def fused_into(self, plan: Plan) -> dict[int, Plan]:
+        """:meth:`CompiledPlan.fused_into` for this executor's pipeline."""
+        return self._compiled(plan).fused_into(plan)
 
     # -- pipeline cache -------------------------------------------------------
 
     def _compiled(self, plan: Plan) -> CompiledPlan:
         key = ("columnar-pipeline", id(plan), self.domain)
-        compiled = self.structure.cached(key, lambda: self._compile(plan))
-        if compiled.plan is not plan:  # pragma: no cover - defensive: the
-            # cached CompiledPlan pins its plan object alive, so a live id
-            # can never be reused; recompile rather than trust a collision.
-            return self._compile(plan)
-        if compiled.epoch != self.structure.epoch:
+        compiled = self.structure._cache.get(key)
+        if compiled is None or compiled.plan() is not plan:
+            compiled = self._compile(plan)
+            self._store(key, plan, compiled)
+        elif compiled.epoch != self.structure.epoch:
             compiled = self._refresh(plan, compiled, key)
         return compiled
+
+    def _store(self, key: tuple, plan: Plan, compiled: CompiledPlan) -> None:
+        """Cache ``compiled`` on the structure for the lifetime of ``plan``.
+
+        The entry holds the plan only weakly; when the plan dies (the
+        engine's plan cache evicted it, or an ad-hoc caller dropped it)
+        the weakref callback removes the entry, so the pipelines cached
+        on a structure never outnumber the live plans.
+        """
+        structure_ref = weakref.ref(self.structure)
+
+        def evict(dead: weakref.ref) -> None:
+            structure = structure_ref()
+            if structure is not None:
+                entry = structure._cache.get(key)
+                if entry is not None and entry.plan is dead:
+                    structure._cache.pop(key, None)
+
+        compiled.plan = weakref.ref(plan, evict)
+        self.structure._cache[key] = compiled
 
     def _refresh(
         self, plan: Plan, compiled: CompiledPlan, key: tuple
@@ -106,7 +135,7 @@ class ColumnarExecutor:
         codec = codec_for(structure, self.domain)
         if deltas is None or codec is not compiled.codec:
             compiled = self._compile(plan)
-            structure._cache[key] = compiled
+            self._store(key, plan, compiled)
             return compiled
         compiled.refresh(deltas, structure.epoch)
         if _telemetry_enabled():
@@ -146,7 +175,7 @@ class ColumnarExecutor:
             _histogram(f"executor.ms.{kind}").observe(elapsed * 1000.0)
             _counter(f"columnar.kernel.{kind}").inc()
         if recorder is not None:
-            recorder[id(node.plan)] = NodeActuals(rows=len(rows), seconds=elapsed)
+            recorder[node.plan_id] = NodeActuals(rows=len(rows), seconds=elapsed)
         return rows
 
     def _apply(self, node: PipelineNode) -> set:

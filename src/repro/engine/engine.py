@@ -4,8 +4,13 @@
 Per call it (1) collects catalog statistics for the structure (memoized),
 (2) looks up or builds a costed relational-algebra plan (LRU plan cache,
 keyed by formula × signature × statistics profile), (3) executes the plan
-with hash joins, semijoin filtering, and antijoin negation, and (4)
-memoizes the answer per (structure, formula) in an LRU answer cache.
+on the columnar executor (:mod:`repro.engine.columnar`: compiled
+integer-key kernel pipelines with hash joins, semijoin filtering, and
+antijoin negation), and (4) memoizes the answer per (structure, formula)
+in an LRU answer cache. Every execution path — :meth:`Engine.answers`,
+the batch APIs, :meth:`Engine.profile` — runs that one executor; the
+row-at-a-time :class:`repro.engine.executor.Executor` is a reference
+interpreter for tests and benchmarks only.
 
 For *sentences* over low-degree structures the engine additionally owns a
 locality fast path: it dispatches to
@@ -22,7 +27,6 @@ this); ``domain="active"`` gives database-style active-domain semantics.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -32,7 +36,7 @@ from repro.resilience.budget import Budget, CancelToken, as_token
 from repro.resilience.faults import fault_point
 from repro.engine.cache import LRUCache
 from repro.engine.columnar.executor import ColumnarExecutor
-from repro.engine.executor import ExecutionStats, Executor, NodeActuals
+from repro.engine.executor import ExecutionStats, NodeActuals
 from repro.engine.normalize import normalize
 from repro.engine.plan import Plan, explain_plan
 from repro.engine.planner import Planner
@@ -108,12 +112,16 @@ class ProfiledExplanation(Explanation):
 
     ``actuals`` maps ``id(plan node)`` to the executor's
     :class:`~repro.engine.executor.NodeActuals` (output rows, inclusive
-    seconds); ``answers`` is the executed result — identical to what
+    seconds); ``fused_into`` maps ``id(plan node)`` of every node the
+    columnar compiler fused away (and which therefore has no actuals of
+    its own) to the plan node whose actuals include its work;
+    ``answers`` is the executed result — identical to what
     :meth:`Engine.answers` returns for the same call; ``seconds`` is the
     end-to-end execution wall clock.
     """
 
     actuals: dict[int, NodeActuals] = field(default_factory=dict)
+    fused_into: dict[int, Plan] = field(default_factory=dict)
     answers: frozenset[tuple[Element, ...]] = frozenset()
     seconds: float = 0.0
 
@@ -124,16 +132,20 @@ class ProfiledExplanation(Explanation):
     def to_dict(self) -> dict:
         """A JSON-ready EXPLAIN ANALYZE: the plan tree with the
         planner's estimates next to the executor's measured actuals per
-        node — what the server's wire-level ``explain`` option ships."""
+        node — what the server's wire-level ``explain`` option ships.
+        A node fused into another carries ``"fused_into"``: the label of
+        the node whose actuals cover it (``None`` everywhere else)."""
 
         def node_dict(node: Plan) -> dict:
             measured = self.actuals.get(id(node))
+            owner = self.fused_into.get(id(node))
             return {
                 "op": node.label(),
                 "attributes": list(node.attributes),
                 "estimated_rows": node.estimated_rows,
                 "actual_rows": measured.rows if measured is not None else None,
                 "actual_ms": measured.milliseconds if measured is not None else None,
+                "fused_into": owner.label() if owner is not None else None,
                 "children": [node_dict(child) for child in node.children()],
             }
 
@@ -158,13 +170,18 @@ class ProfiledExplanation(Explanation):
                 f"bounded-degree fast path: {dispatch} ({self.fast_path_reason})",
                 f"estimated plan cost: {self.plan.total_estimated_rows():.1f} rows",
                 f"actual: {len(self.answers)} answer rows in {self.seconds * 1000.0:.3f}ms",
-                explain_plan(self.plan, actuals=self.actuals),
+                explain_plan(self.plan, actuals=self.actuals, fused=self.fused_into),
             ]
         )
 
 
 class Engine:
     """A planned, cached, locality-aware FO query engine.
+
+    Every plan runs on one executor,
+    :class:`~repro.engine.columnar.executor.ColumnarExecutor`, whose
+    compiled pipelines are cached on the structure for as long as the
+    plan stays in the plan cache. There is no executor switch.
 
     Parameters
     ----------
@@ -193,23 +210,6 @@ class Engine:
         bound execute with the semijoin pre-filter switched off — for
         trivially small plans the filter's extra hash sets cost more
         than they save. Set to 0 to always filter.
-    executor:
-        Which executor tier runs plans: ``"tuple"`` (the reference
-        row-at-a-time executor), ``"columnar"`` (compiled integer-key
-        kernel pipelines, :mod:`repro.engine.columnar`), or ``"auto"``
-        (cost-based dispatch, the default). ``None`` defers to the
-        ``REPRO_EXECUTOR`` environment variable, falling back to
-        ``"auto"``. :meth:`profile` always runs the tuple executor —
-        per-node EXPLAIN ANALYZE actuals are defined on the fully
-        materialized pipeline, which fusion deliberately destroys.
-    tiny_plan_rows / columnar_min_rows:
-        The ``"auto"`` dispatch bands, by total estimated rows: at most
-        ``tiny_plan_rows`` → columnar (its cached compiled pipeline is
-        the cheapest path for trivially small plans, where the tuple
-        executor's per-node setup dominates); at least
-        ``columnar_min_rows`` → columnar (integer kernels win on bulk);
-        in between → the tuple executor (both are fast; the reference
-        path keeps its production mileage).
     max_workers:
         Default worker count for the batch APIs (:meth:`answers_batch`,
         :meth:`evaluate_batch`, :meth:`evaluate_many`). ``None`` defers
@@ -226,23 +226,11 @@ class Engine:
         fast_path_threshold: int | None = None,
         enable_fast_path: bool = True,
         small_plan_rows: int = 2048,
-        executor: str | None = None,
-        tiny_plan_rows: int = 64,
-        columnar_min_rows: int = 512,
         max_workers: int | None = None,
     ) -> None:
         if domain not in ("universe", "active"):
             raise EvaluationError(f"domain must be 'universe' or 'active', got {domain!r}")
-        if executor is None:
-            executor = os.environ.get("REPRO_EXECUTOR", "auto") or "auto"
-        if executor not in ("auto", "tuple", "columnar"):
-            raise EvaluationError(
-                f"executor must be 'auto', 'tuple', or 'columnar', got {executor!r}"
-            )
         self.domain_mode = domain
-        self.executor_mode = executor
-        self.tiny_plan_rows = tiny_plan_rows
-        self.columnar_min_rows = columnar_min_rows
         self.degree_threshold = degree_threshold
         self.fast_path_ball_limit = fast_path_ball_limit
         self.fast_path_threshold = fast_path_threshold
@@ -433,7 +421,6 @@ class Engine:
                     sorted_names,
                     sorted_names,
                     plan.total_estimated_rows() > self.small_plan_rows,
-                    self._use_columnar(plan),
                     token.to_payload() if token is not None else None,
                 )
             )
@@ -596,13 +583,16 @@ class Engine:
         """EXPLAIN ANALYZE: execute under tracing, return estimates + actuals.
 
         Unlike :meth:`answers` this always executes (bypassing the
-        answer cache — actuals must be measured, not remembered), with a
-        per-node recorder attached to the executor. The returned
+        answer cache — actuals must be measured, not remembered), on the
+        same columnar executor and cached pipeline that serve
+        :meth:`answers`, with a per-step recorder attached. The returned
         :class:`ProfiledExplanation` carries the executed answer set —
         identical to :meth:`answers` on the same arguments — plus actual
         rows and inclusive milliseconds per plan node next to the
         planner's estimates, so estimate-vs-actual misplanning is
-        visible node by node.
+        visible node by node. Nodes the compiler fused into a
+        neighbouring step have no actuals of their own and name that
+        step instead (:attr:`ProfiledExplanation.fused_into`).
         """
         free = free_variables(formula)
         sorted_names = tuple(sorted(var.name for var in free))
@@ -620,11 +610,12 @@ class Engine:
         plan, normalized = self._plan_for(structure, formula)
         dispatch, reason = self.fast_path_decision(structure, formula)
         recorder: dict[int, NodeActuals] = {}
+        fused: dict[int, Plan] = {}
         start = time.perf_counter()
         with _span("engine.profile"):
             rows = self._execute_plan(
-                structure, formula, sorted_names, order_names, recorder,
-                cancel_token=as_token(budget),
+                structure, plan, sorted_names, order_names, recorder,
+                cancel_token=as_token(budget), fused=fused,
             )
         elapsed = time.perf_counter() - start
         return ProfiledExplanation(
@@ -635,6 +626,7 @@ class Engine:
             fast_path=dispatch,
             fast_path_reason=reason,
             actuals=recorder,
+            fused_into=fused,
             answers=rows,
             seconds=elapsed,
         )
@@ -740,23 +732,6 @@ class Engine:
 
         return self.plan_cache.get_or_compute(key, build)
 
-    def _use_columnar(self, plan: Plan) -> bool:
-        """The executor-tier dispatch decision for one plan.
-
-        Forced modes short-circuit; ``auto`` sends the two extremes of
-        the cost range to the columnar tier — trivially small plans
-        (cached pipeline beats the tuple executor's per-node setup, the
-        fix for the old ``has-loop`` regression) and bulky plans
-        (integer kernels beat per-row tuple hashing) — and keeps the
-        middle band on the reference tuple executor.
-        """
-        if self.executor_mode == "tuple":
-            return False
-        if self.executor_mode == "columnar":
-            return True
-        estimate = plan.total_estimated_rows()
-        return estimate <= self.tiny_plan_rows or estimate >= self.columnar_min_rows
-
     def _domain_values(self, structure: Structure) -> tuple[Element, ...]:
         if self.domain_mode == "universe":
             return structure.universe
@@ -776,8 +751,9 @@ class Engine:
         cancel_token: CancelToken | None = None,
     ) -> frozenset[tuple[Element, ...]]:
         with _span("engine.answers") as answers_span:
+            plan, _ = self._plan_for(structure, formula)
             rows = self._execute_plan(
-                structure, formula, sorted_names, order_names, None,
+                structure, plan, sorted_names, order_names, None,
                 cancel_token=cancel_token,
             )
             answers_span.set("rows", len(rows))
@@ -786,21 +762,16 @@ class Engine:
     def _execute_plan(
         self,
         structure: Structure,
-        formula: Formula,
+        plan: Plan,
         sorted_names: tuple[str, ...],
         order_names: tuple[str, ...],
         recorder: dict[int, NodeActuals] | None,
         cancel_token: CancelToken | None = None,
+        fused: dict[int, Plan] | None = None,
     ) -> frozenset[tuple[Element, ...]]:
-        plan, _ = self._plan_for(structure, formula)
         domain = self._domain_values(structure)
         fault_point("engine.execute")
-        executor_class = (
-            ColumnarExecutor
-            if recorder is None and self._use_columnar(plan)
-            else Executor
-        )
-        executor = executor_class(
+        executor = ColumnarExecutor(
             structure,
             domain,
             self.stats.execution,
@@ -813,6 +784,8 @@ class Engine:
             _counter("engine.executions").inc()
         with _span("engine.execute"):
             relation = executor.run(plan)
+        if fused is not None:
+            fused.update(executor.fused_into(plan))
         extra = tuple(name for name in order_names if name not in sorted_names)
         if extra:
             # Naive `answers` ranges extra free_order columns over the
@@ -838,13 +811,11 @@ def _execute_payload(payload: tuple) -> tuple[frozenset, dict[str, int]]:
         sorted_names,
         order_names,
         semijoin_filtering,
-        use_columnar,
         token_payload,
     ) = payload
     token = CancelToken.from_payload(token_payload) if token_payload is not None else None
     run_stats = ExecutionStats()
-    executor_class = ColumnarExecutor if use_columnar else Executor
-    executor = executor_class(
+    executor = ColumnarExecutor(
         structure,
         domain,
         run_stats,

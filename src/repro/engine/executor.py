@@ -1,21 +1,21 @@
-"""The plan executor: costed plans → :class:`Relation` values.
+"""The reference interpreter for tests and benchmarks: plans → :class:`Relation`.
+
+Production never runs this module's :class:`Executor` — the engine
+executes every plan on :class:`repro.engine.columnar.executor.ColumnarExecutor`.
+It stays as the plain row-at-a-time reading of a plan (one
+:class:`Relation` per node, no compilation, no fusion) that tests and
+``benchmarks/bench_engine.py`` compare the columnar tier against, and it
+owns the shared vocabulary both executors use: :class:`ExecutionStats`,
+:class:`NodeActuals` and :data:`SEMIJOIN_THRESHOLD`.
 
 Joins are hash-based (via :meth:`Relation.join`) with a semijoin
 pre-filter: when both inputs are large and share attributes, the bigger
-side is first reduced to the rows that can possibly match — the
-classical distributed-database trick, which here keeps the hash table
-and the output of skewed joins small. Negative conjuncts execute as hash
-antijoins, so safe negation never materializes a domain complement.
-
-Observability: with telemetry enabled, every plan-node execution feeds
-per-operator row counters and duration histograms
-(``executor.rows.<Op>`` / ``executor.ms.<Op>``) into the default metrics
-registry. Independently, passing a ``recorder`` dict gives EXPLAIN
-ANALYZE semantics: the executor stores a :class:`NodeActuals` (output
-rows, inclusive seconds) per plan node, keyed by ``id(node)``, which
-:meth:`repro.engine.engine.Engine.profile` renders next to the planner's
-estimates. With neither in play, node execution is dispatched directly
-with no timing calls at all.
+side is first reduced to the rows that can possibly match. Negative
+conjuncts execute as hash antijoins, so safe negation never
+materializes a domain complement. Passing a ``recorder`` dict stores a
+:class:`NodeActuals` (output rows, inclusive seconds) per plan node,
+keyed by ``id(node)``; with telemetry enabled every node execution also
+feeds ``executor.rows.<Op>`` / ``executor.ms.<Op>``.
 """
 
 from __future__ import annotations

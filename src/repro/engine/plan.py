@@ -215,7 +215,12 @@ class Union(Plan):
         return f"Union[{len(self.parts)}]"
 
 
-def explain_plan(plan: Plan, indent: int = 0, actuals: dict | None = None) -> str:
+def explain_plan(
+    plan: Plan,
+    indent: int = 0,
+    actuals: dict | None = None,
+    fused: dict | None = None,
+) -> str:
     """Render a plan as an indented tree with cost annotations.
 
     ``actuals`` is an optional EXPLAIN ANALYZE overlay: a mapping from
@@ -223,6 +228,8 @@ def explain_plan(plan: Plan, indent: int = 0, actuals: dict | None = None) -> st
     attributes (the executor's :class:`~repro.engine.executor.NodeActuals`).
     Nodes present in the mapping render ``actual=... rows in ...ms``
     next to the planner's estimate; durations are inclusive of children.
+    ``fused`` maps ``id(node)`` to the plan node a fused node's work was
+    recorded under; such nodes render ``fused into <label>``.
     """
     pad = "  " * indent
     line = (
@@ -233,7 +240,11 @@ def explain_plan(plan: Plan, indent: int = 0, actuals: dict | None = None) -> st
         recorded = actuals.get(id(plan))
         if recorded is not None:
             line += f"  actual={recorded.rows} rows in {recorded.milliseconds:.3f}ms"
+    if fused is not None:
+        owner = fused.get(id(plan))
+        if owner is not None:
+            line += f"  fused into {owner.label()}"
     lines = [line]
     for child in plan.children():
-        lines.append(explain_plan(child, indent + 1, actuals))
+        lines.append(explain_plan(child, indent + 1, actuals, fused))
     return "\n".join(lines)

@@ -60,14 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(Engine.answers_batch; default: serial unless REPRO_PARALLEL is set)",
     )
     parser.add_argument(
-        "--executor",
-        choices=("tuple", "columnar", "auto"),
-        default=None,
-        help="executor tier for plan execution: the reference tuple "
-        "executor, the columnar kernel tier, or cost-based auto dispatch "
-        "(default: the REPRO_EXECUTOR environment variable, else auto)",
-    )
-    parser.add_argument(
         "--degree-bound",
         type=int,
         default=3,
@@ -165,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
 
     service = QueryService(
         default_budget=default_budget,
-        engine=Engine(max_workers=args.workers, executor=args.executor),
+        engine=Engine(max_workers=args.workers),
         degree_bound=args.degree_bound,
         trace_sample=args.trace_sample,
         access_log=open_access_log(args.access_log, slow_ms=args.slow_ms),

@@ -54,8 +54,10 @@ and the wire response.  Labeled request metrics
 (``server.requests{tenant,outcome}``, ``server.request_ms{tenant}``)
 are recorded unconditionally — they are cheap, bounded-cardinality, and
 what ``GET /metrics`` exposes in Prometheus text form.  The wire-level
-``explain`` option returns :meth:`Engine.profile`'s per-node actuals
-plus the request's span tree.
+``explain`` option returns :meth:`Engine.profile`'s per-node actuals —
+measured on the columnar executor that serves every request, with fused
+plan nodes naming the node whose actuals cover them — plus the
+request's span tree.
 """
 
 from __future__ import annotations

@@ -1,24 +1,25 @@
 """Tests for the columnar executor tier (repro.engine.columnar).
 
-The contract under test is *exact answer-set agreement* with the tuple
-executor and the naive oracle — the columnar tier is a performance tier,
-never a semantics tier — plus the codec's coding invariants, the
-packed/tuple mode switch, the dispatch policy, and the observability and
-pickling parity the executor promises.
+The columnar tier is the engine's only executor. The contract under
+test is *exact answer-set agreement* with the reference interpreter
+(:class:`repro.engine.executor.Executor`, run directly on the engine's
+plans) and the naive oracle, plus the codec's coding invariants, the
+packed/tuple mode switch, the pipeline cache's lifetime, and the
+observability and pickling parity the executor promises.
 """
 
 from __future__ import annotations
 
 import pickle
 
+import pytest
 from hypothesis import given, settings
 
 from strategies import conformance_cases
 from repro import telemetry
-from repro.engine import ColumnarExecutor, Engine
+from repro.engine import ColumnarExecutor, Engine, Executor
 from repro.engine.columnar.codec import PACK_MAX_ARITY, DomainCodec, codec_for
 from repro.engine.columnar.compile import compile_plan
-from repro.errors import EvaluationError
 from repro.eval.evaluator import answers as naive_answers
 from repro.logic.parser import parse
 from repro.logic.signature import Signature
@@ -30,8 +31,18 @@ HAS_LOOP = parse("exists x E(x, x)")
 OUT_DOMINATED = parse("~(x = y) & forall z ((~E(x, z) | E(y, z)))")
 
 
-def columnar_engine(**kwargs) -> Engine:
-    return Engine(executor="columnar", **kwargs)
+def reference_answers(engine: Engine, structure: Structure, formula) -> frozenset:
+    """The reference interpreter run directly on the engine's own plan."""
+    plan, _ = engine._plan_for(structure, formula)
+    return Executor(structure, engine._domain_values(structure)).run(plan).rows
+
+
+def pipeline_keys(structure: Structure) -> list:
+    return [
+        key
+        for key in structure._cache
+        if isinstance(key, tuple) and key[:1] == ("columnar-pipeline",)
+    ]
 
 
 class TestColumnarEquivalence:
@@ -44,21 +55,20 @@ class TestColumnarEquivalence:
         signatures, constants, equalities, negation, ternary relations
         (which exercise the tuple-of-int fallback mid-plan)."""
         reference = naive_answers(case.structure, case.formula)
-        assert columnar_engine().answers(case.structure, case.formula) == reference
+        assert Engine().answers(case.structure, case.formula) == reference
 
     @settings(max_examples=25, deadline=None)
     @given(case=conformance_cases(max_size=5, formula_budget=5))
     def test_matches_tuple_executor_under_active_domain(self, case):
-        tuple_engine = Engine(domain="active", executor="tuple")
-        active = Engine(domain="active", executor="columnar")
-        assert active.answers(case.structure, case.formula) == tuple_engine.answers(
-            case.structure, case.formula
+        active = Engine(domain="active")
+        assert active.answers(case.structure, case.formula) == reference_answers(
+            active, case.structure, case.formula
         )
 
     def test_named_zoo_shapes_agree(self):
         graph = random_graph(14, 0.4, seed=9)
         for formula in (DISTANCE_TWO, HAS_LOOP, OUT_DOMINATED):
-            assert columnar_engine().answers(graph, formula) == naive_answers(
+            assert Engine().answers(graph, formula) == naive_answers(
                 graph, formula
             )
 
@@ -66,10 +76,11 @@ class TestColumnarEquivalence:
         """All-empty relations under active semantics: the domain pads to
         one universe element and both executors agree."""
         empty = Structure(Signature({"E": 2}), [0, 1, 2], {"E": []})
+        engine = Engine(domain="active")
         for formula in (DISTANCE_TWO, HAS_LOOP, parse("~E(x, y)")):
-            assert Engine(domain="active", executor="columnar").answers(
-                empty, formula
-            ) == Engine(domain="active", executor="tuple").answers(empty, formula)
+            assert engine.answers(empty, formula) == reference_answers(
+                engine, empty, formula
+            )
 
     def test_constants_resolve_through_the_codec(self):
         signature = Signature({"E": 2}, constants={"c"})
@@ -77,12 +88,12 @@ class TestColumnarEquivalence:
             signature, [0, 1, 2], {"E": [(0, 1), (1, 2), (2, 0)]}, {"c": 1}
         )
         formula = parse("E(c, x) | x = c", constants=signature)
-        assert columnar_engine().answers(structure, formula) == naive_answers(
+        assert Engine().answers(structure, formula) == naive_answers(
             structure, formula
         )
 
     def test_batch_api_rides_the_columnar_tier(self):
-        engine = columnar_engine()
+        engine = Engine()
         graphs = [random_graph(n, 0.3, seed=n) for n in (6, 8, 10)]
         batched = engine.answers_batch([(g, DISTANCE_TWO) for g in graphs])
         assert batched == [naive_answers(g, DISTANCE_TWO) for g in graphs]
@@ -168,7 +179,7 @@ class TestKernels:
         """OUT_DOMINATED's union branches are Project(Extend(·)) — the
         compiler must fuse each into a single strided Extend node."""
         graph = random_graph(10, 0.3, seed=1)
-        engine = columnar_engine()
+        engine = Engine()
         plan, _ = engine._plan_for(graph, OUT_DOMINATED)
         compiled = compile_plan(plan, graph, graph.universe)
         extends, unfused = [], []
@@ -187,7 +198,7 @@ class TestKernels:
         assert extends and not unfused
 
     def test_leaf_results_are_memoized(self):
-        engine = columnar_engine()
+        engine = Engine()
         graph = random_graph(9, 0.4, seed=7)
         first = engine.answers(graph, DISTANCE_TWO)
         plan, _ = engine._plan_for(graph, DISTANCE_TWO)
@@ -214,7 +225,7 @@ class TestModeSelection:
         tuple-of-int mode and still agree with the oracle."""
         wide = parse("E(x, y) & E(y, z) & E(z, w) & E(w, x)")
         graph = random_graph(7, 0.5, seed=4)
-        engine = columnar_engine()
+        engine = Engine()
         plan, _ = engine._plan_for(graph, wide)
         compiled = compile_plan(plan, graph, graph.universe)
         assert not compiled.packed
@@ -222,58 +233,68 @@ class TestModeSelection:
 
     def test_narrow_plans_pack(self):
         graph = random_graph(7, 0.5, seed=4)
-        engine = columnar_engine()
+        engine = Engine()
         plan, _ = engine._plan_for(graph, DISTANCE_TWO)
         assert compile_plan(plan, graph, graph.universe).packed
 
 
-class TestDispatchPolicy:
-    def test_forced_modes(self):
-        graph = random_graph(8, 0.3, seed=1)
-        plan, _ = Engine()._plan_for(graph, DISTANCE_TWO)
-        assert Engine(executor="columnar")._use_columnar(plan)
-        assert not Engine(executor="tuple")._use_columnar(plan)
+class TestSingleExecutor:
+    def test_executor_switch_is_gone(self):
+        with pytest.raises(TypeError):
+            Engine(executor="tuple")
 
-    def test_auto_routes_the_extremes_to_columnar(self):
-        engine = Engine(executor="auto")
+    def test_every_plan_runs_columnar(self, monkeypatch):
+        """Tiny, middle-sized and bulky plans, the batch API and EXPLAIN
+        ANALYZE all run on the columnar executor, never the reference
+        interpreter."""
+
+        def refuse(self, plan):  # pragma: no cover - failing path
+            raise AssertionError("the reference executor ran in production")
+
+        monkeypatch.setattr(Executor, "run", refuse)
         graph = random_graph(10, 0.3, seed=1)
-        tiny_plan, _ = engine._plan_for(graph, HAS_LOOP)
-        assert tiny_plan.total_estimated_rows() <= engine.tiny_plan_rows
-        assert engine._use_columnar(tiny_plan)
-        big_plan, _ = engine._plan_for(graph, OUT_DOMINATED)
-        assert big_plan.total_estimated_rows() >= engine.columnar_min_rows
-        assert engine._use_columnar(big_plan)
+        engine = Engine()
+        for formula in (HAS_LOOP, DISTANCE_TWO, OUT_DOMINATED):
+            assert engine.answers(graph, formula) == naive_answers(graph, formula)
+            assert engine.profile(graph, formula).answers == naive_answers(
+                graph, formula
+            )
+        assert engine.answers_batch([(graph, DISTANCE_TWO)]) == [
+            naive_answers(graph, DISTANCE_TWO)
+        ]
 
-    def test_auto_keeps_the_middle_band_on_tuple(self):
-        engine = Engine(executor="auto", tiny_plan_rows=0, columnar_min_rows=10**9)
-        graph = random_graph(10, 0.3, seed=1)
-        plan, _ = engine._plan_for(graph, DISTANCE_TWO)
-        assert not engine._use_columnar(plan)
 
-    def test_env_variable_selects_the_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "columnar")
-        assert Engine().executor_mode == "columnar"
-        monkeypatch.setenv("REPRO_EXECUTOR", "tuple")
-        assert Engine().executor_mode == "tuple"
-        # An explicit parameter wins over the environment.
-        assert Engine(executor="auto").executor_mode == "auto"
+class TestPipelineCache:
+    def test_cached_pipelines_bounded_by_plan_cache(self):
+        """A compiled pipeline lives only as long as its plan-cache entry:
+        after far more distinct formulas than the plan cache holds, the
+        structure caches at most that many pipelines."""
+        capacity = 8
+        engine = Engine(plan_cache_size=capacity)
+        graph = random_graph(64, 3 / 64, seed=1)
+        for index in range(10 * capacity):
+            x, y, z = f"x{index}", f"y{index}", f"z{index}"
+            formula = parse(f"exists {z} (E({x}, {z}) & E({z}, {y})) & ~E({x}, {y})")
+            engine.answers(graph, formula)
+        assert len(engine.plan_cache) <= capacity
+        assert 0 < len(pipeline_keys(graph)) <= capacity
 
-    def test_invalid_mode_rejected(self):
-        try:
-            Engine(executor="vectorized")
-        except EvaluationError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("expected EvaluationError")
+    def test_pipeline_dies_with_its_plan(self):
+        graph = random_graph(9, 0.4, seed=7)
+        engine = Engine()
+        engine.answers(graph, DISTANCE_TWO)
+        assert len(pipeline_keys(graph)) == 1
+        engine.clear_caches()
+        assert pipeline_keys(graph) == []
 
 
 class TestExecutorParity:
     def test_semijoin_prefilter_counts_like_the_tuple_executor(self):
         graph = random_graph(12, 0.6, seed=3)
-        unfiltered = columnar_engine()
+        unfiltered = Engine()
         unfiltered.answers(graph, DISTANCE_TWO)
         assert unfiltered.stats.execution.semijoin_filters == 0
-        filtered = columnar_engine(small_plan_rows=0)
+        filtered = Engine(small_plan_rows=0)
         filtered.answers(graph, DISTANCE_TWO)
         assert filtered.stats.execution.semijoin_filters > 0
         assert filtered.answers(graph, DISTANCE_TWO) == unfiltered.answers(
@@ -281,7 +302,7 @@ class TestExecutorParity:
         )
 
     def test_stats_and_rows_materialized(self):
-        engine = columnar_engine()
+        engine = Engine()
         engine.answers(random_graph(8, 0.3, seed=2), DISTANCE_TWO)
         snapshot = engine.stats.as_dict()
         assert snapshot["executions"] == 1
@@ -291,7 +312,7 @@ class TestExecutorParity:
     def test_telemetry_counters_appear(self):
         telemetry.enable()
         try:
-            engine = columnar_engine()
+            engine = Engine()
             engine.answers(random_graph(10, 0.3, seed=1), DISTANCE_TWO)
             snap = telemetry.metrics_snapshot()
             assert snap["counters"]["executor.rows.AtomScan"] > 0
@@ -304,7 +325,7 @@ class TestExecutorParity:
             telemetry.disable()
 
     def test_pipeline_cache_reused_across_executions(self):
-        engine = columnar_engine()
+        engine = Engine()
         graph = random_graph(9, 0.4, seed=7)
         first = engine.answers(graph, DISTANCE_TWO)
         engine.invalidate(graph)  # drop the answer cache, keep the pipeline
@@ -327,7 +348,7 @@ class TestPickling:
         """Codec and pipeline memos live in Structure._cache, which
         __getstate__ drops — workers rebuild them on demand."""
         graph = random_graph(8, 0.4, seed=3)
-        engine = columnar_engine()
+        engine = Engine()
         engine.answers(graph, DISTANCE_TWO)
         assert any(
             isinstance(key, tuple) and key and str(key[0]).startswith("columnar")
@@ -336,6 +357,6 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(graph))
         assert clone == graph
         assert clone._cache == {}
-        assert columnar_engine().answers(clone, DISTANCE_TWO) == engine.answers(
+        assert Engine().answers(clone, DISTANCE_TWO) == engine.answers(
             graph, DISTANCE_TWO
         )

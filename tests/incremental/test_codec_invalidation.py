@@ -108,7 +108,7 @@ def test_foreign_structures_codec_is_rebuilt_not_patched():
 
 
 def test_columnar_answers_correct_across_updates():
-    engine = Engine(executor="columnar", columnar_min_rows=0, tiny_plan_rows=0)
+    engine = Engine()
     formula = parse("E(x, y) & E(y, z)")
     structure = random_graph(10, 0.3, seed=5)
     assert engine.answers(structure, formula) == naive_answers(structure, formula)
@@ -123,7 +123,7 @@ def test_columnar_answers_correct_across_updates():
 
 
 def test_quantified_columnar_answers_correct_across_updates():
-    engine = Engine(executor="columnar", columnar_min_rows=0, tiny_plan_rows=0)
+    engine = Engine()
     formula = parse("exists z. (E(x, z) & ~E(z, y))")
     structure = random_graph(8, 0.4, seed=13)
     for step in range(10):

@@ -116,21 +116,18 @@ QUANTIFIED = [
 ]
 
 
-@pytest.mark.parametrize("executor", ["tuple", "columnar"])
 @given(
     structure=strategies.graphs(min_size=2, max_size=6),
     steps=deltas(),
     text=st.sampled_from(QUANTIFIED),
 )
 @settings(max_examples=25, deadline=None)
-def test_quantified_maintained_answers_track_cold_recompute(
-    executor, structure, steps, text
-):
-    """Satellite 4: after *every* insert/delete the maintained quantified
-    answers equal a cold recompute, under both executor tiers.  One
-    engine instance lives across the whole sequence so every path —
-    remember, promote, patch, overflow-fallback — gets exercised."""
-    engine = Engine(executor=executor, columnar_min_rows=0, tiny_plan_rows=0)
+def test_quantified_maintained_answers_track_cold_recompute(structure, steps, text):
+    """After *every* insert/delete the maintained quantified answers
+    equal a cold naive recompute.  One engine instance lives across the
+    whole sequence so every path — remember, promote, patch,
+    overflow-fallback, columnar pipeline refresh — gets exercised."""
+    engine = Engine()
     formula = parse(text)
     live = _cold_copy(structure)
     assert engine.answers(live, formula) == naive_answers(live, formula)

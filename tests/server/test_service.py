@@ -346,23 +346,20 @@ def test_cross_tenant_plan_cache_shared(service: QueryService):
     assert service.engine.plan_cache.snapshot()["hits"] > hits_before
 
 
-# -- executor tier -----------------------------------------------------------
+# -- executor ----------------------------------------------------------------
 
 
 def test_columnar_engine_serves_identical_answers():
-    """The service runs unchanged on the columnar executor tier — same
-    wire-level rows for ad-hoc and prepared queries (the --executor CLI
-    flag constructs exactly this engine)."""
-    from repro.engine import Engine
-    from repro.server.cli import build_parser
-
-    assert build_parser().parse_args(["--executor", "columnar"]).executor == "columnar"
+    """The service's one executor (columnar) serves wire-level rows equal
+    to the naive evaluator's, for prepared and ad-hoc queries alike."""
     graph = random_graph(10, 0.3, seed=4)
-    results = {}
-    for mode in ("tuple", "columnar"):
-        service = QueryService(engine=Engine(executor=mode))
-        sid = service.add_structure(graph, tenant="t")
-        prepared = service.prepare("t", "exists z (E(x, z) & E(z, y))")
-        page = service.answers("t", sid, query=prepared.name)
-        results[mode] = page.rows
-    assert results["tuple"] == results["columnar"]
+    text = "exists z (E(x, z) & E(z, y))"
+    expected = sorted(naive_answers(graph, parse(text)))
+    service = QueryService()
+    sid = service.add_structure(graph, tenant="t")
+    prepared = service.prepare("t", text)
+    for page in (
+        service.answers("t", sid, query=prepared.name, page_size=1000),
+        service.answers("t", sid, formula=text, page_size=1000),
+    ):
+        assert sorted(tuple(row) for row in page.rows) == expected

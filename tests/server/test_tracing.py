@@ -152,6 +152,36 @@ class TestExplain:
         assert root["name"] == "server.request"
         assert _span_trace_ids(root) == {"deadbeef"}
 
+    def test_explained_prepared_query_serves_the_same_rows(self, server_url, cycle_id):
+        """explain:true profiles on the executor that serves the plain
+        request: the same rows come back, and every plan node carries
+        actuals or names the node it was fused into."""
+        status, prepared, _ = _request(
+            server_url + "/v1/queries",
+            {
+                "tenant": "t",
+                "formula": "exists z. (E(x, z) & E(z, y)) & ~E(x, y)",
+                "structure_id": cycle_id,
+            },
+        )
+        assert status == 200
+        request = {"tenant": "t", "structure_id": cycle_id, "query": prepared["query"]}
+        status, plain, _ = _request(server_url + "/v1/answers", request)
+        assert status == 200
+        status, explained, _ = _request(
+            server_url + "/v1/answers", {**request, "explain": True}
+        )
+        assert status == 200
+        assert explained["rows"] == plain["rows"]
+        assert explained["total_rows"] == plain["total_rows"] > 0
+        profile = explained["explain"]["profile"]
+        assert profile["rows"] == plain["total_rows"]
+        stack = [profile["plan"]]
+        while stack:
+            node = stack.pop()
+            assert (node["actual_rows"] is None) == (node["fused_into"] is not None)
+            stack.extend(node["children"])
+
     def test_explain_absent_by_default(self, server_url, cycle_id):
         status, body, _ = _request(
             server_url + "/v1/answers",

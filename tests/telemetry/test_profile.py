@@ -29,13 +29,56 @@ class TestProfile:
         assert profile.answers == naive_answers(graph, DISTANCE_TWO)
 
     def test_every_plan_node_has_actuals(self):
+        """Every node has actuals of its own, or names (``fused_into``)
+        an ancestor with actuals whose pipeline step absorbed it."""
         engine = Engine()
-        profile = engine.profile(random_graph(12, 0.3, seed=3), DISTANCE_TWO)
-        for node in plan_nodes(profile.plan):
-            actuals = profile.node_actuals(node)
-            assert actuals is not None, node.label()
-            assert actuals.rows >= 0
-            assert actuals.seconds >= 0.0
+        graph = random_graph(12, 0.3, seed=3)
+        for query in fo_graph_corpus():
+            profile = engine.profile(graph, query.formula)
+            document = profile.to_dict()
+            fused_seen = 0
+
+            def check(node, wire, ancestors):
+                nonlocal fused_seen
+                actuals = profile.node_actuals(node)
+                if actuals is not None:
+                    assert actuals.rows >= 0
+                    assert actuals.seconds >= 0.0
+                    assert wire["fused_into"] is None
+                    assert wire["actual_rows"] == actuals.rows
+                else:
+                    owner = profile.fused_into.get(id(node))
+                    assert owner is not None, (query.name, node.label())
+                    assert any(owner is ancestor for ancestor in ancestors)
+                    assert profile.node_actuals(owner) is not None
+                    assert wire["fused_into"] == owner.label()
+                    assert wire["actual_rows"] is None
+                    fused_seen += 1
+                for child, child_wire in zip(node.children(), wire["children"]):
+                    check(child, child_wire, ancestors + (node,))
+
+            check(profile.plan, document["plan"], ())
+            assert profile.node_actuals(profile.plan) is not None
+            assert str(profile).count("fused into") == fused_seen
+
+    def test_fused_nodes_are_reported(self):
+        """The shapes the compiler fuses name the step that absorbed
+        them: on-triangle's joins and out-dominated's union, extends and
+        inner complement."""
+        engine = Engine()
+        graph = random_graph(12, 0.3, seed=3)
+        corpus = {query.name: query.formula for query in fo_graph_corpus()}
+        for name, labels in (
+            ("on-triangle", {"Join"}),
+            ("out-dominated", {"Union", "Extend", "Complement"}),
+        ):
+            profile = engine.profile(graph, corpus[name])
+            fused = {
+                node.label().split("[")[0]
+                for node in plan_nodes(profile.plan)
+                if id(node) in profile.fused_into
+            }
+            assert labels <= fused, (name, fused)
 
     def test_root_actual_rows_equal_answer_count(self):
         engine = Engine()
