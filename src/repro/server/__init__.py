@@ -15,8 +15,9 @@ The serving layer over the toolbox: a long-running HTTP/JSON service
   :class:`~repro.resilience.fallback.FallbackChain` degradation; over
   budget is a typed 429/503 refusal, never a hang or a wrong answer;
 * **endpoints**: ``POST /v1/structures``, ``POST /v1/queries``,
-  ``POST /v1/answers`` (single + batched via
-  :meth:`~repro.engine.engine.Engine.answers_batch`, with paging),
+  ``POST /v1/answers`` (single or batched, with paging — one pipeline:
+  a single request is a batch of one, batch items go through the
+  tenant chain, and ad-hoc items never enter the answer cache),
   ``GET /metrics``, ``GET /healthz`` (:mod:`repro.server.http`);
 * a **CLI**: ``python -m repro.server`` (:mod:`repro.server.cli`).
 

@@ -9,6 +9,10 @@ Examples
     python -m repro.server --deadline-ms 2000 --max-rows 200000
     python -m repro.server --fault-inject 3 --telemetry  # chaos + metrics
 
+Every answer request, single or batched, runs through one pipeline:
+batch items go through the tenant chain, and ad-hoc items never enter
+the answer cache (see :mod:`repro.server.service`).
+
 The first line on stdout is always ``serving on http://HOST:PORT``
 (flushed before the accept loop starts), so scripts can scrape the bound
 port even with ``--port 0``.  SIGINT/SIGTERM shut the server down
@@ -51,13 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="default per-request materialized-row budget for every tenant",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker fan-out for batched answer execution "
-        "(Engine.answers_batch; default: serial unless REPRO_PARALLEL is set)",
     )
     parser.add_argument(
         "--degree-bound",
@@ -152,12 +149,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    from repro.engine.engine import Engine
     from repro.telemetry.logs import open_access_log
 
     service = QueryService(
         default_budget=default_budget,
-        engine=Engine(max_workers=args.workers),
         degree_bound=args.degree_bound,
         trace_sample=args.trace_sample,
         access_log=open_access_log(args.access_log, slow_ms=args.slow_ms),

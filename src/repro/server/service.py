@@ -34,14 +34,21 @@ FO system needs and nothing else:
   which the wire layer maps to 429 (refusal) or 503 (injected fault) —
   never a hang, never a wrong answer.
 
-Prepared answers flow through the tenant's fallback chain (engine →
-bounded-degree census → naive), so under ``REPRO_FAULT_INJECT`` the
-service degrades instead of erroring.  Ad-hoc answers (a formula in the
-request body instead of a prepared-query name) deliberately bypass the
-shared answer cache: cache admission is a prepared-query privilege, so
-a flood of one-off queries cannot evict the working set of every other
-tenant.  That split is also what the throughput benchmark measures —
-prepared vs cold is the price of skipping preparation.
+**One pipeline.**  A single answer request is a batch of one: both
+run in the same envelope (:meth:`QueryService._request` — counters,
+trace scope, span, admission token, status mapping, metrics, access
+log, shared with updates) and resolve their items the same way, so a
+query gets the same answer, degradation and refusal alone or inside a
+batch.  Batch items go through the tenant chain: prepared items flow
+through the tenant's fallback chain (engine → bounded-degree census →
+naive), so under ``REPRO_FAULT_INJECT`` the service degrades instead of
+erroring.  Ad-hoc items (a formula in the request body instead of a
+prepared-query name) never enter the answer cache: they run through
+:meth:`Engine.profile`, because cache admission is a prepared-query
+privilege and a flood of one-off queries must not evict the working set
+of every other tenant.  That split is also what the throughput
+benchmark measures — prepared vs cold is the price of skipping
+preparation.
 
 **Observability (telemetry v2, S19).**  Every answer request runs under
 a :class:`~repro.telemetry.context.TraceContext` — reused when the
@@ -67,7 +74,7 @@ import itertools
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.engine.engine import Engine
@@ -157,6 +164,34 @@ class AnswerPage:
         if self.explain is not None:
             payload["explain"] = self.explain
         return payload
+
+
+@dataclass
+class _Request:
+    """What one request's envelope reports once the body is done."""
+
+    ctx: Any
+    scope: Any
+    span: Any = None
+    token: CancelToken | None = None
+    query: str | None = None
+    query_hash: str | None = None
+    rows: int = 0
+
+
+@dataclass(frozen=True)
+class _Item:
+    """One answer item, resolved and validated, ready to execute."""
+
+    structure: Structure
+    structure_id: str
+    query: str | None
+    formula: Formula
+    query_hash: str
+    natural: tuple[str, ...]
+    free_names: tuple[str, ...]
+    page: int
+    page_size: int | None
 
 
 class TenantSession:
@@ -399,110 +434,69 @@ class QueryService:
         (:meth:`_dirtied_queries`).
         """
         session = self.tenant(tenant)
-        session.count("requests")
-        with self._lock:
-            self.requests_served += 1
-        started = time.perf_counter()
-        with self.request_scope(trace_id) as (ctx, scope):  # noqa: F841 — scope keeps the trace open
-            token: CancelToken | None = None
-            status = 200
-            outcome = "ok"
-            applied = 0
-            try:
-                with _span("server.updates") as update_span:
-                    update_span.set("tenant", tenant)
-                    if self.readonly:
-                        raise ServerError(
-                            "this server is read-only; updates are disabled",
-                            status=403,
-                        )
-                    structure = self.structure(structure_id)
-                    token = self._effective_token(session, deadline_ms, max_rows)
-                    if updates and isinstance(updates[0], dict):
-                        deltas = wire.updates_from_wire(updates)
-                    else:
-                        deltas = [
-                            (op, relation, tuple(row)) for op, relation, row in updates
-                        ]
-                    if not deltas:
-                        raise ServerError("'updates' must be a non-empty list")
-                    # Validate and charge the whole batch before applying
-                    # any of it: a 400 or a 429 must leave the store
-                    # untouched (a refusal *between* deltas would strand
-                    # mutated content under its pre-update digest).
-                    for _, relation, row in deltas:
-                        structure.check_update(relation, row)
-                    if token is not None:
-                        token.consume_rows(len(deltas), "server.updates")
-                    noops = 0
-                    for op, relation, row in deltas:
-                        changed = (
-                            structure.insert(relation, row)
-                            if op == "insert"
-                            else structure.delete(relation, row)
-                        )
-                        if changed:
-                            applied += 1
-                        else:
-                            noops += 1
-                    new_id = wire.structure_digest(structure)
-                    with self._lock:
-                        if new_id != structure_id:
-                            self.structures.pop(structure_id, None)
-                            self.structures[new_id] = structure
-                            self._superseded[structure_id] = new_id
-                            # A resurrected id is current again, and any
-                            # stale chain onto it must not shadow it.
-                            self._superseded.pop(new_id, None)
-                    dirtied = self._dirtied_queries(session, structure, token)
-                    update_span.set("deltas", len(deltas)).set("applied", applied)
-                    update_span.set("epoch", structure.epoch)
-                    update_span.set("queries_dirtied", len(dirtied))
-                    session.count("updates_applied", applied)
-                    if _telemetry_enabled():
-                        _counter("incremental.updates.applied", tenant=tenant).inc(applied)
-                        _counter("incremental.updates.noops", tenant=tenant).inc(noops)
-                        _counter(
-                            "incremental.updates.queries_dirtied", tenant=tenant
-                        ).inc(len(dirtied))
-                    return {
-                        "structure_id": new_id,
-                        "previous_id": structure_id,
-                        "applied": applied,
-                        "noops": noops,
-                        "epoch": structure.epoch,
-                        "size": structure.size,
-                        "queries_dirtied": dirtied,
-                        "wire_version": wire.WIRE_VERSION,
-                    }
-            except BudgetExceededError as error:
-                session.count("refused")
-                status, outcome = wire.status_for_error(error), "refused"
-                raise
-            except FMTError as error:
-                session.count("errors")
-                status, outcome = wire.status_for_error(error), "error"
-                raise
-            except BaseException:
-                status, outcome = 500, "error"
-                raise
-            finally:
-                duration_ms = (time.perf_counter() - started) * 1000.0
-                _counter("server.requests", tenant=tenant, outcome=outcome).inc()
-                _histogram("server.request_ms", tenant=tenant).observe(duration_ms)
-                self._record_access(
-                    ctx=ctx,
-                    session=session,
-                    op="updates",
-                    query=None,
-                    query_hash=None,
-                    rows=applied,
-                    status=status,
-                    outcome=outcome,
-                    duration_ms=duration_ms,
-                    token=token,
-                    degradations_before=len(session.chain.degradations),
+        with self._request(session, "updates", trace_id, deadline_ms, max_rows) as request:
+            if self.readonly:
+                raise ServerError(
+                    "this server is read-only; updates are disabled", status=403
                 )
+            structure = self.structure(structure_id)
+            token = request.token
+            if updates and isinstance(updates[0], dict):
+                deltas = wire.updates_from_wire(updates)
+            else:
+                deltas = [(op, relation, tuple(row)) for op, relation, row in updates]
+            if not deltas:
+                raise ServerError("'updates' must be a non-empty list")
+            # Validate and charge the whole batch before applying any of
+            # it: a 400 or a 429 must leave the store untouched (a refusal
+            # *between* deltas would strand mutated content under its
+            # pre-update digest).
+            for _, relation, row in deltas:
+                structure.check_update(relation, row)
+            if token is not None:
+                token.consume_rows(len(deltas), "server.updates")
+            applied = noops = 0
+            for op, relation, row in deltas:
+                changed = (
+                    structure.insert(relation, row)
+                    if op == "insert"
+                    else structure.delete(relation, row)
+                )
+                if changed:
+                    applied += 1
+                else:
+                    noops += 1
+            request.rows = applied
+            new_id = wire.structure_digest(structure)
+            with self._lock:
+                if new_id != structure_id:
+                    self.structures.pop(structure_id, None)
+                    self.structures[new_id] = structure
+                    self._superseded[structure_id] = new_id
+                    # A resurrected id is current again, and any stale
+                    # chain onto it must not shadow it.
+                    self._superseded.pop(new_id, None)
+            dirtied = self._dirtied_queries(session, structure, token)
+            request.span.set("deltas", len(deltas)).set("applied", applied)
+            request.span.set("epoch", structure.epoch)
+            request.span.set("queries_dirtied", len(dirtied))
+            session.count("updates_applied", applied)
+            if _telemetry_enabled():
+                _counter("incremental.updates.applied", tenant=tenant).inc(applied)
+                _counter("incremental.updates.noops", tenant=tenant).inc(noops)
+                _counter("incremental.updates.queries_dirtied", tenant=tenant).inc(
+                    len(dirtied)
+                )
+            return {
+                "structure_id": new_id,
+                "previous_id": structure_id,
+                "applied": applied,
+                "noops": noops,
+                "epoch": structure.epoch,
+                "size": structure.size,
+                "queries_dirtied": dirtied,
+                "wire_version": wire.WIRE_VERSION,
+            }
 
     def _dirtied_queries(
         self,
@@ -658,6 +652,101 @@ class QueryService:
         )
         return budget.start()
 
+    # -- the request envelope ------------------------------------------------
+
+    @contextmanager
+    def _request(
+        self,
+        session: TenantSession,
+        op: str,
+        trace_id: object,
+        deadline_ms: float | None,
+        max_rows: int | None,
+        items: int = 1,
+    ):
+        """The one envelope every answer and update request runs in.
+
+        Counts the request (``items`` against the tenant, one against
+        ``requests_served``), joins or mints its trace context, opens
+        the ``server.<op>`` span and starts the admission token.  On the
+        way out it maps an exception to status and outcome, counts each
+        of the ``items`` once as ``refused`` or ``errors``, records
+        ``server.requests``/``server.request_ms`` and writes the access
+        log line.  Yields the :class:`_Request` the body fills in.
+        """
+        session.count("requests", items)
+        with self._lock:
+            self.requests_served += 1
+        started = time.perf_counter()
+        degradations_before = len(session.chain.degradations)
+        with self.request_scope(trace_id) as (ctx, scope):
+            request = _Request(ctx, scope)
+            status, outcome = 200, "ok"
+            try:
+                with _span("server." + op) as request.span:
+                    request.span.set("tenant", session.name)
+                    request.token = self._effective_token(session, deadline_ms, max_rows)
+                    yield request
+            except BaseException as error:
+                status = wire.status_for_error(error) if isinstance(error, FMTError) else 500
+                outcome = "refused" if isinstance(error, BudgetExceededError) else "error"
+                session.count("refused" if outcome == "refused" else "errors", items)
+                raise
+            finally:
+                duration_ms = (time.perf_counter() - started) * 1000.0
+                _counter("server.requests", tenant=session.name, outcome=outcome).inc()
+                _histogram("server.request_ms", tenant=session.name).observe(duration_ms)
+                self._record_access(
+                    request,
+                    session=session,
+                    op=op,
+                    status=status,
+                    outcome=outcome,
+                    duration_ms=duration_ms,
+                    degradations_before=degradations_before,
+                )
+
+    def _record_access(
+        self,
+        request: _Request,
+        *,
+        session: TenantSession,
+        op: str,
+        status: int,
+        outcome: str,
+        duration_ms: float,
+        degradations_before: int,
+    ) -> None:
+        """One structured access-log line for a finished request."""
+        log = self.access_log
+        if log is None:
+            return
+        token = request.token
+        log.log(
+            {
+                "trace_id": request.ctx.trace_id,
+                "sampled": request.ctx.sampled,
+                "tenant": session.name,
+                "op": op,
+                "query": request.query,
+                "query_hash": request.query_hash,
+                "rows": request.rows,
+                "status": status,
+                "outcome": outcome,
+                "duration_ms": duration_ms,
+                "budget_rows_spent": token.rows if token is not None else None,
+                "budget_nodes_spent": token.nodes if token is not None else None,
+                "degradations": [
+                    {"rung": event.rung, "error": event.error, "trace_id": event.trace_id}
+                    for event in session.chain.degradations[degradations_before:]
+                ],
+                "breakers": {
+                    rung: breaker.state
+                    for rung, breaker in session.chain.breakers.items()
+                },
+            }
+        )
+
     # -- answers -------------------------------------------------------------
 
     def answers(
@@ -675,7 +764,7 @@ class QueryService:
         trace_id: object = None,
     ) -> AnswerPage:
         """One answer page for a prepared query (by name) or an ad-hoc
-        formula (by text).
+        formula (by text) — a batch of one (:meth:`answers_batch`).
 
         Prepared queries run through the tenant's fallback chain and the
         shared caches.  Ad-hoc formulas parse per request and execute
@@ -693,110 +782,152 @@ class QueryService:
         bypasses its fallback chain for this one call.  ``trace_id``
         joins (or seeds) the request's trace context.
         """
+        item = {
+            "structure_id": structure_id,
+            "query": query,
+            "formula": formula,
+            "free_variables": free_variables,
+            "page": page,
+            "page_size": page_size,
+        }
+        return self._answer_pages(
+            self.tenant(tenant), "answers", [item], deadline_ms, max_rows, None, explain, trace_id
+        )[0]
+
+    def answers_batch(
+        self,
+        tenant: str,
+        requests: list[dict[str, Any]],
+        deadline_ms: float | None = None,
+        max_rows: int | None = None,
+        page_size: int | None = None,
+        trace_id: object = None,
+    ) -> list[AnswerPage]:
+        """Many answer requests under **one** shared budget and trace.
+
+        Each request dict carries ``structure_id`` plus ``query`` or
+        ``formula`` (and optionally its own ``page``/``page_size``, and
+        ``free_variables`` for a formula).  Every item runs exactly as
+        it would alone in :meth:`answers`: prepared items through the
+        tenant's fallback chain (so they degrade, and take injected
+        faults, the same way), ad-hoc items through
+        :meth:`Engine.profile`, never entering the answer cache.  The
+        whole batch shares one admission token — a batch is one unit of
+        work, and a budget that would refuse its parts refuses their
+        sum.  It also shares one trace context and one access-log line;
+        a failed batch counts each of its items once as refused or
+        errored.
+        """
         session = self.tenant(tenant)
-        session.count("requests")
-        with self._lock:
-            self.requests_served += 1
-        started = time.perf_counter()
-        with self.request_scope(trace_id) as (ctx, scope):
-            degradations_before = len(session.chain.degradations)
-            token: CancelToken | None = None
-            status = 200
-            outcome = "ok"
-            query_hash: str | None = None
-            rows_returned = 0
-            try:
-                with _span("server.answers") as answer_span:
-                    answer_span.set("tenant", tenant)
-                    structure = self.structure(structure_id)
-                    token = self._effective_token(session, deadline_ms, max_rows)
-                    if (query is None) == (formula is None):
-                        raise ServerError(
-                            "exactly one of 'query' (prepared name) or 'formula' "
-                            "(ad-hoc text) is required"
-                        )
-                    profile = None
-                    if query is not None:
-                        if free_variables is not None:
-                            raise ServerError(
-                                "'free_variables' is fixed at prepare time for "
-                                "prepared queries"
-                            )
-                        prepared = self.prepared_query(tenant, query)
-                        query_hash = _query_hash(prepared.text)
-                        validate(prepared.formula, structure.signature)
-                        natural, free_names = _answer_schema(
-                            prepared.formula, prepared.free_names
-                        )
-                        if explain:
-                            profile = self.engine.profile(
-                                structure, prepared.formula, budget=token
-                            )
-                            rows = profile.answers
-                        else:
-                            rows = session.chain.answers(
-                                structure, prepared.formula, budget=token
-                            )
-                    else:
-                        parsed = wire.parse_formula(
-                            formula, constants=structure.signature
-                        )
-                        query_hash = _query_hash(wire.format_formula(parsed))
-                        validate(parsed, structure.signature)
-                        natural, free_names = _answer_schema(parsed, free_variables)
-                        # profile() executes unconditionally (no answer-cache
-                        # admission for ad-hoc queries) but still uses the shared
-                        # plan cache and honors the budget.
-                        profile = self.engine.profile(structure, parsed, budget=token)
-                        rows = profile.answers
-                    rows = _cylindrify(rows, natural, free_names, structure.universe)
-                    _admit_result(len(rows), token)
-                    answer_span.set("rows", len(rows))
-            except BudgetExceededError as error:
-                session.count("refused")
-                status, outcome = wire.status_for_error(error), "refused"
-                raise
-            except FMTError as error:
-                session.count("errors")
-                status, outcome = wire.status_for_error(error), "error"
-                raise
-            except BaseException:
-                status, outcome = 500, "error"
-                raise
-            else:
-                result = self._page(
-                    rows,
-                    page,
-                    page_size,
-                    free_names,
-                    query=query,
-                    structure_id=structure_id,
-                )
-                if explain:
-                    result = replace(
-                        result, explain=self._explain_payload(profile, ctx, scope)
+        session.count("batch_requests")
+        return self._answer_pages(
+            session, "answers_batch", requests, deadline_ms, max_rows, page_size, False, trace_id
+        )
+
+    def _answer_pages(
+        self,
+        session: TenantSession,
+        op: str,
+        requests: list[dict[str, Any]],
+        deadline_ms: float | None,
+        max_rows: int | None,
+        page_size: int | None,
+        explain: bool,
+        trace_id: object,
+    ) -> list[AnswerPage]:
+        """The body :meth:`answers` and :meth:`answers_batch` share."""
+        well_formed = isinstance(requests, list) and bool(requests)
+        items = len(requests) if well_formed else 1
+        with self._request(session, op, trace_id, deadline_ms, max_rows, items) as request:
+            if not well_formed:
+                raise ServerError("'requests' must be a non-empty list")
+            request.span.set("requests", items)
+            if op == "answers":
+                request.query = requests[0].get("query")
+            resolved = [self._resolve_item(session, item, page_size) for item in requests]
+            if op == "answers":
+                request.query_hash = resolved[0].query_hash
+            profile = None
+            answer_sets = []
+            for item in resolved:
+                if item.query is not None and not explain:
+                    rows = session.chain.answers(
+                        item.structure, item.formula, budget=request.token
                     )
-                rows_returned = len(result.rows)
-                session.count("answered")
-                session.count("rows_returned", rows_returned)
-                return result
-            finally:
-                duration_ms = (time.perf_counter() - started) * 1000.0
-                _counter("server.requests", tenant=tenant, outcome=outcome).inc()
-                _histogram("server.request_ms", tenant=tenant).observe(duration_ms)
-                self._record_access(
-                    ctx=ctx,
-                    session=session,
-                    op="answers",
-                    query=query,
-                    query_hash=query_hash,
-                    rows=rows_returned,
-                    status=status,
-                    outcome=outcome,
-                    duration_ms=duration_ms,
-                    token=token,
-                    degradations_before=degradations_before,
+                else:
+                    profile = self.engine.profile(
+                        item.structure, item.formula, budget=request.token
+                    )
+                    rows = profile.answers
+                answer_sets.append(
+                    _cylindrify(rows, item.natural, item.free_names, item.structure.universe)
                 )
+            total_rows = sum(len(rows) for rows in answer_sets)
+            _admit_result(total_rows, request.token)
+            request.span.set("rows", total_rows)
+            pages = [
+                self._page(
+                    rows,
+                    item.page,
+                    item.page_size,
+                    item.free_names,
+                    query=item.query,
+                    structure_id=item.structure_id,
+                )
+                for rows, item in zip(answer_sets, resolved)
+            ]
+            if explain:
+                pages[0] = replace(
+                    pages[0],
+                    explain=self._explain_payload(profile, request.ctx, request.scope),
+                )
+            request.rows = sum(len(page.rows) for page in pages)
+            session.count("answered", items)
+            session.count("rows_returned", request.rows)
+            return pages
+
+    def _resolve_item(
+        self, session: TenantSession, request: Any, page_size: int | None
+    ) -> _Item:
+        """Everything one answer item needs before it executes: its
+        structure, its formula (prepared or parsed and validated), its
+        answer schema, its query hash and its page window."""
+        if not isinstance(request, dict):
+            raise ServerError("each batch request must be an object")
+        structure_id = request.get("structure_id", "")
+        structure = self.structure(structure_id)
+        name = request.get("query")
+        text = request.get("formula")
+        if (name is None) == (text is None):
+            raise ServerError(
+                "exactly one of 'query' (prepared name) or 'formula' "
+                "(ad-hoc text) is required"
+            )
+        if name is not None:
+            if request.get("free_variables") is not None:
+                raise ServerError(
+                    "'free_variables' is fixed at prepare time for prepared queries"
+                )
+            prepared = self.prepared_query(session.name, name)
+            formula, canonical = prepared.formula, prepared.text
+            requested = prepared.free_names
+        else:
+            formula = wire.parse_formula(text, constants=structure.signature)
+            canonical = wire.format_formula(formula)
+            requested = request.get("free_variables")
+        validate(formula, structure.signature)
+        natural, free_names = _answer_schema(formula, requested)
+        return _Item(
+            structure=structure,
+            structure_id=structure_id,
+            query=name,
+            formula=formula,
+            query_hash=_query_hash(canonical),
+            natural=natural,
+            free_names=free_names,
+            page=int(request.get("page", 0)),
+            page_size=request.get("page_size", page_size),
+        )
 
     def _explain_payload(self, profile, ctx, scope) -> dict[str, Any]:
         """The wire ``explain`` object: profile actuals + span tree."""
@@ -814,200 +945,6 @@ class QueryService:
             "profile": profile.to_dict() if profile is not None else None,
             "spans": spans,
         }
-
-    def _record_access(
-        self,
-        *,
-        ctx,
-        session: TenantSession,
-        op: str,
-        query: str | None,
-        query_hash: str | None,
-        rows: int,
-        status: int,
-        outcome: str,
-        duration_ms: float,
-        token: CancelToken | None,
-        degradations_before: int,
-    ) -> None:
-        """One structured access-log line for a finished request."""
-        log = self.access_log
-        if log is None:
-            return
-        all_degradations = session.chain.degradations
-        degraded = (
-            [
-                {"rung": event.rung, "error": event.error, "trace_id": event.trace_id}
-                for event in all_degradations[degradations_before:]
-            ]
-            if len(all_degradations) > degradations_before
-            else []
-        )
-        log.log(
-            {
-                "trace_id": ctx.trace_id,
-                "sampled": ctx.sampled,
-                "tenant": session.name,
-                "op": op,
-                "query": query,
-                "query_hash": query_hash,
-                "rows": rows,
-                "status": status,
-                "outcome": outcome,
-                "duration_ms": duration_ms,
-                "budget_rows_spent": token.rows if token is not None else None,
-                "budget_nodes_spent": token.nodes if token is not None else None,
-                "degradations": degraded,
-                "breakers": {
-                    rung: breaker.state
-                    for rung, breaker in session.chain.breakers.items()
-                },
-            }
-        )
-
-    def answers_batch(
-        self,
-        tenant: str,
-        requests: list[dict[str, Any]],
-        deadline_ms: float | None = None,
-        max_rows: int | None = None,
-        page_size: int | None = None,
-        trace_id: object = None,
-    ) -> list[AnswerPage]:
-        """Many answer requests, executed through
-        :meth:`Engine.answers_batch` under **one** shared budget.
-
-        Each request dict carries ``structure_id`` plus ``query`` or
-        ``formula`` (and optionally its own ``page``/``page_size``).
-        Planning is deduplicated by the shared plan cache; execution
-        fans out across the engine's workers.  The whole batch shares
-        one admission token — a batch is one unit of work, and a budget
-        that would refuse its parts refuses their sum.  It also shares
-        one trace context: every engine span of the batch (including
-        worker span trees merged back across ``parallel_map``) carries
-        the same trace id, and the access log gets one line for the
-        whole batch.
-        """
-        session = self.tenant(tenant)
-        session.count("batch_requests")
-        session.count("requests", len(requests))
-        with self._lock:
-            self.requests_served += 1
-        started = time.perf_counter()
-        with self.request_scope(trace_id) as (ctx, scope):
-            degradations_before = len(session.chain.degradations)
-            token: CancelToken | None = None
-            status = 200
-            outcome = "ok"
-            rows_returned = 0
-            try:
-                with _span("server.answers_batch") as batch_span:
-                    batch_span.set("tenant", tenant)
-                    if not isinstance(requests, list) or not requests:
-                        raise ServerError("'requests' must be a non-empty list")
-                    batch_span.set("requests", len(requests))
-                    token = self._effective_token(session, deadline_ms, max_rows)
-                    pairs: list[tuple[Structure, Formula]] = []
-                    shapes: list[tuple] = []
-                    for request in requests:
-                        if not isinstance(request, dict):
-                            raise ServerError("each batch request must be an object")
-                        structure = self.structure(request.get("structure_id", ""))
-                        name = request.get("query")
-                        text = request.get("formula")
-                        if (name is None) == (text is None):
-                            raise ServerError(
-                                "each batch request needs exactly one of "
-                                "'query' or 'formula'"
-                            )
-                        if name is not None:
-                            if request.get("free_variables") is not None:
-                                raise ServerError(
-                                    "'free_variables' is fixed at prepare time for "
-                                    "prepared queries"
-                                )
-                            prepared = self.prepared_query(tenant, name)
-                            formula = prepared.formula
-                            natural, free_names = _answer_schema(
-                                formula, prepared.free_names
-                            )
-                        else:
-                            formula = wire.parse_formula(
-                                text, constants=structure.signature
-                            )
-                            natural, free_names = _answer_schema(
-                                formula, request.get("free_variables")
-                            )
-                        validate(formula, structure.signature)
-                        pairs.append((structure, formula))
-                        shapes.append(
-                            (
-                                natural,
-                                free_names,
-                                name,
-                                structure,
-                                request.get("structure_id", ""),
-                                int(request.get("page", 0)),
-                                request.get("page_size", page_size),
-                            )
-                        )
-                    try:
-                        answer_sets = self.engine.answers_batch(pairs, budget=token)
-                        answer_sets = [
-                            _cylindrify(rows, natural, free_names, structure.universe)
-                            for rows, (natural, free_names, _, structure, *_rest) in zip(
-                                answer_sets, shapes
-                            )
-                        ]
-                        _admit_result(sum(len(rows) for rows in answer_sets), token)
-                    except BudgetExceededError:
-                        session.count("refused", len(requests))
-                        raise
-                    pages = []
-                    for rows, (_, free_names, name, _, structure_id, page, size) in zip(
-                        answer_sets, shapes
-                    ):
-                        pages.append(
-                            self._page(
-                                rows,
-                                page,
-                                size,
-                                free_names,
-                                query=name,
-                                structure_id=structure_id,
-                            )
-                        )
-            except BudgetExceededError as error:
-                status, outcome = wire.status_for_error(error), "refused"
-                raise
-            except FMTError as error:
-                status, outcome = wire.status_for_error(error), "error"
-                raise
-            except BaseException:
-                status, outcome = 500, "error"
-                raise
-            else:
-                rows_returned = sum(len(p.rows) for p in pages)
-                session.count("answered", len(requests))
-                session.count("rows_returned", rows_returned)
-                return pages
-            finally:
-                duration_ms = (time.perf_counter() - started) * 1000.0
-                _counter("server.requests", tenant=tenant, outcome=outcome).inc()
-                _histogram("server.request_ms", tenant=tenant).observe(duration_ms)
-                self._record_access(
-                    ctx=ctx,
-                    session=session,
-                    op="answers_batch",
-                    query=None,
-                    query_hash=None,
-                    rows=rows_returned,
-                    status=status,
-                    outcome=outcome,
-                    duration_ms=duration_ms,
-                    token=token,
-                    degradations_before=degradations_before,
-                )
 
     def _page(
         self,

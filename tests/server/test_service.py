@@ -8,7 +8,9 @@ from repro.errors import BudgetExceededError, ServerError, UnknownResourceError
 from repro.eval.evaluator import answers as naive_answers
 from repro.logic.parser import parse
 from repro.logic.signature import GRAPH
+from repro.errors import FMTError
 from repro.resilience.budget import Budget
+from repro.resilience.faults import FaultInjector, reset_injector, set_injector
 from repro.server.service import (
     DEFAULT_PAGE_SIZE,
     QueryService,
@@ -17,6 +19,7 @@ from repro.server.service import (
 from repro.server import wire
 from repro.structures.builders import random_graph, undirected_cycle
 from repro.structures.structure import Structure
+from repro.telemetry.logs import AccessLog
 
 
 @pytest.fixture()
@@ -291,6 +294,136 @@ def test_batch_per_request_paging(service: QueryService, cycle_id: str):
     assert len(pages[0].rows) == 5
     assert pages[0].rows != pages[1].rows
     assert pages[0].total_rows == pages[1].total_rows == 12
+
+
+# -- one pipeline: a single request is a batch of one ----------------------
+
+
+def _single_or_batch(service: QueryService, mode: str, **request):
+    """Send one answer request alone or as a batch of one; return
+    ``(status, page)`` with ``page=None`` for a failed request."""
+    try:
+        if mode == "single":
+            return 200, service.answers("t", **request)
+        (page,) = service.answers_batch(
+            "t",
+            [{key: request[key] for key in ("structure_id", "query", "formula") if key in request}],
+            max_rows=request.get("max_rows"),
+        )
+        return 200, page
+    except FMTError as error:
+        return wire.status_for_error(error), None
+
+
+@pytest.fixture()
+def no_faults():
+    set_injector(None)
+    yield
+    reset_injector()
+
+
+@pytest.fixture()
+def faults_every_third():
+    yield lambda: set_injector(FaultInjector(3))
+    reset_injector()
+
+
+@pytest.mark.parametrize("max_rows", [50, 200, 800])
+def test_refusal_parity_single_and_batch_of_one(no_faults, max_rows: int):
+    """The engine rung is over the row budget, the census rung does not
+    apply (free variable), and naive answers 30 rows within budget: alone
+    and in a batch the query degrades once and answers."""
+    text = "forall y (E(x, y) -> exists z (E(y, z) & ~E(x, z)))"
+    outcomes = []
+    for mode in ("single", "batch"):
+        service = QueryService()
+        sid = service.add_structure(random_graph(30, 0.3, seed=4))
+        name = service.prepare("t", text).name
+        status, page = _single_or_batch(
+            service, mode, structure_id=sid, query=name, max_rows=max_rows
+        )
+        outcomes.append(
+            (
+                status,
+                page and page.total_rows,
+                page and page.rows,
+                len(service.tenant("t").chain.degradations),
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 200 and outcomes[0][1] == 30
+
+
+def test_fault_injection_parity_single_and_batch_of_one(faults_every_third):
+    text = "exists z (E(x, z) & E(z, y))"
+    degradations = {}
+    for mode in ("single", "batch"):
+        faults_every_third()
+        log = AccessLog()
+        service = QueryService(access_log=log)
+        sid = service.add_structure(random_graph(20, 0.2, seed=1))
+        name = service.prepare("t", text).name
+        for _ in range(6):
+            service.engine.clear_caches()
+            status, _ = _single_or_batch(service, mode, structure_id=sid, query=name)
+            assert status == 200
+        events = service.tenant("t").chain.degradations
+        logged = [
+            event["trace_id"]
+            for entry in log.recent()
+            for event in entry["degradations"]
+            if event["trace_id"] == entry["trace_id"]
+        ]
+        assert logged == [event.trace_id for event in events]
+        degradations[mode] = len(events)
+    assert degradations["single"] == degradations["batch"] > 0
+
+
+def test_counters_add_up_over_single_and_batch_failures(no_faults):
+    service = QueryService()
+    sid = service.add_structure(undirected_cycle(6))
+    ok = {"structure_id": sid, "formula": "E(x, y)"}
+    bad_parse = {"structure_id": sid, "formula": "E(x, ("}
+    unknown = {"structure_id": "no-such-structure", "formula": "E(x, y)"}
+    statuses = []
+    for requests, max_rows in (
+        ([ok], None),
+        ([ok, ok], None),
+        ([bad_parse], None),
+        ([ok, bad_parse], None),
+        ([unknown], None),
+        ([unknown, ok], None),
+        ([ok], 1),
+        ([ok, ok], 1),
+    ):
+        for mode in ("single", "batch") if len(requests) == 1 else ("batch",):
+            try:
+                if mode == "single":
+                    service.answers("t", **requests[0], max_rows=max_rows)
+                else:
+                    service.answers_batch("t", requests, max_rows=max_rows)
+                statuses.append(200)
+            except FMTError as error:
+                statuses.append(wire.status_for_error(error))
+    assert sorted(set(statuses)) == [200, 400, 404, 429]
+    counters = service.tenant("t").snapshot()["counters"]
+    assert counters["requests"] == (
+        counters["answered"] + counters["refused"] + counters["errors"]
+    )
+    assert (counters["answered"], counters["refused"], counters["errors"]) == (4, 4, 8)
+
+
+def test_adhoc_batch_items_stay_out_of_the_answer_cache(service: QueryService, cycle_id: str):
+    before = len(service.engine.answer_cache)
+    service.answers_batch(
+        "t1",
+        [
+            {"structure_id": cycle_id, "formula": "E(x, y)"},
+            {"structure_id": cycle_id, "formula": "exists y. E(x, y)"},
+            {"structure_id": cycle_id, "formula": "E(y, x)"},
+        ],
+    )
+    assert len(service.engine.answer_cache) == before
 
 
 # -- counters, health, metrics ----------------------------------------------
