@@ -13,10 +13,15 @@ Measures the three claims the incremental layer makes:
   place on every delta (the ``columnar.codec.patched`` telemetry
   counter proves zero full re-encodes inside the timed loop);
 * ``Engine.enumerate`` has **flat per-answer delay**: the median delay
-  moves by at most 2x while the answer count grows 10x.
+  moves by at most 2x while the answer count grows 10x;
+* two-free-variable ``types`` enumeration has **linear preprocessing**:
+  the time to first answer of ``E(x, y) | E(y, x)`` on a directed cycle
+  grows at most 2.5x per doubling of n (the near sets are radius-bounded
+  balls, so preprocessing is O(n · |B_{2r+1}|), not n²).
 
-A speedup curve over n in {200, 1000, 4000} and the per-answer delay
-distribution at both scales feed EXPERIMENTS.md E24.  Results land under
+A speedup curve over n in {200, 1000, 4000}, the per-answer delay
+distribution at both scales and the pair-types curve over n in
+{1000, 2000, 4000, 8000} feed EXPERIMENTS.md E24.  Results land under
 the ``"incremental"`` key of ``BENCH_engine.json`` (read-modify-write,
 so other benchmarks' rows survive).
 """
@@ -45,6 +50,12 @@ REPS = 5
 
 QF = parse("E(x, y) & ~E(y, x)")
 QUANT = parse("exists y. (E(x, y) & E(y, x))")
+
+PAIR_TYPES = "E(x, y) | E(y, x)"
+PAIR_TYPES_SIZES = (1000, 2000, 4000, 8000)
+PAIR_TYPES_RUNS = 3
+#: Time to first answer may grow at most this much per doubling of n.
+PAIR_TYPES_DOUBLING_FLOOR = 2.5
 
 
 def _grid(n: int) -> Structure:
@@ -224,6 +235,32 @@ def enumerate_delay_row(n: int) -> dict:
     }
 
 
+def enumerate_pair_types_row(n: int) -> dict:
+    """Time to first answer of two-free-variable ``types`` enumeration."""
+    formula = parse(PAIR_TYPES)
+    ttfa, preprocess, delays = [], [], []
+    for _ in range(PAIR_TYPES_RUNS):
+        structure = directed_cycle(n)
+        start = time.perf_counter()
+        stream = Engine().enumerate(structure, formula)
+        next(stream)
+        ttfa.append(time.perf_counter() - start)
+        count = 1 + sum(1 for _ in stream)
+        assert stream.mode == "types", stream.mode
+        assert count == 2 * n, count
+        preprocess.append(stream.preprocessing_seconds)
+        delays.append(statistics.median(stream.delays))
+    return {
+        "n": n,
+        "formula": PAIR_TYPES,
+        "mode": "types",
+        "answers": 2 * n,
+        "ttfa_seconds": round(statistics.median(ttfa), 6),
+        "preprocessing_seconds": round(statistics.median(preprocess), 6),
+        "median_delay_us": round(statistics.median(delays) * 1e6, 3),
+    }
+
+
 def collect() -> dict:
     census = [census_update_row(n) for n in UPDATE_SIZES]
     answers = [answers_update_row(n) for n in UPDATE_SIZES]
@@ -235,12 +272,24 @@ def collect() -> dict:
         ratio = delays[1]["median_delay_us"] / max(delays[0]["median_delay_us"], 1e-9)
         if ratio <= 2.0:
             break
+    # Same noise allowance for the pair-types curve: a quadratic
+    # preprocessing grows ~4x per doubling on every attempt.
+    for _ in range(3):
+        pair_types = [enumerate_pair_types_row(n) for n in PAIR_TYPES_SIZES]
+        doubling = [
+            round(larger["ttfa_seconds"] / smaller["ttfa_seconds"], 3)
+            for smaller, larger in zip(pair_types, pair_types[1:])
+        ]
+        if max(doubling) <= PAIR_TYPES_DOUBLING_FLOOR:
+            break
     return {
         "census_updates": census,
         "answer_updates": answers,
         "quantified_updates": quantified,
         "enumerate_delays": delays,
         "delay_ratio_10x": round(ratio, 3),
+        "enumerate_pair_types": pair_types,
+        "pair_types_doubling_ratios": doubling,
     }
 
 
@@ -270,6 +319,15 @@ class TestIncrementalSpeedup:
             ],
         )
 
+        print_table(
+            f"E24: two-free-variable types enumeration of {PAIR_TYPES} (median of 3)",
+            ["n", "mode", "ttfa_s", "preprocess_s", "median_us"],
+            [
+                (row["n"], row["mode"], row["ttfa_seconds"], row["preprocessing_seconds"], row["median_delay_us"])
+                for row in data["enumerate_pair_types"]
+            ],
+        )
+
         census_at_floor = next(
             row for row in data["census_updates"] if row["n"] == ACCEPTANCE_N
         )
@@ -289,6 +347,13 @@ class TestIncrementalSpeedup:
         # ISSUE acceptance: median per-answer delay within 2x across a
         # 10x growth in answer count.
         assert data["delay_ratio_10x"] <= 2.0, data["enumerate_delays"]
+        # Linear pair-types preprocessing: time to first answer at most
+        # 2.5x per doubling of n (a quadratic near-set walk gives ~4x).
+        assert all(row["mode"] == "types" for row in data["enumerate_pair_types"])
+        assert all(
+            ratio <= PAIR_TYPES_DOUBLING_FLOOR
+            for ratio in data["pair_types_doubling_ratios"]
+        ), data["enumerate_pair_types"]
 
         existing = (
             json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}

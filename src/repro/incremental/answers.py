@@ -75,6 +75,7 @@ from repro.logic.syntax import (
 )
 from repro.resilience.budget import CancelToken
 from repro.resilience.faults import fault_point
+from repro.structures.gaifman import ball, ball_distances, gaifman_adjacency
 from repro.structures.structure import Structure, _sort_key
 from repro.telemetry.metrics import counter as _counter
 from repro.telemetry.tracer import is_enabled as _telemetry_enabled
@@ -446,7 +447,6 @@ class AnswerIndex:
 
     def _hanf_promotable(self, structure: Structure, scope: _HanfScope) -> bool:
         from repro.locality.neighborhoods import max_ball_size
-        from repro.structures.gaifman import gaifman_adjacency
 
         size = structure.size
         if not size:
@@ -504,7 +504,7 @@ class AnswerIndex:
         seeds: set = set()
         for _, _, row in deltas:
             seeds.update(row)
-        dirty = _dirty_ball(structure, seeds, record.scope.key_radius)
+        dirty = ball_distances(structure, seeds, record.scope.key_radius)
         if len(dirty) > self.candidate_limit:
             return False
         for element in dirty:
@@ -626,19 +626,19 @@ class AnswerIndex:
         deltas: list[tuple[str, str, tuple]],
         cancel_token: CancelToken | None,
     ) -> frozenset | None:
-        from repro.structures.gaifman import gaifman_adjacency
-
         scope = record.scope
         seeds: set = set()
         for _, _, row in deltas:
             seeds.update(row)
-        dirty = _dirty_ball(structure, seeds, scope.depth)
+        # Every element whose verdict can have changed lies within the
+        # scope's radius of the touched elements in the patched graph (the
+        # delta-sequence lemma of :mod:`repro.incremental.census`).
+        dirty = ball_distances(structure, seeds, scope.depth)
         if len(dirty) > self.candidate_limit:
             self._note_fallback()
             return None
         with _span("incremental.answers.patch_local") as patch_span:
             patch_span.set("deltas", len(deltas)).set("dirty", len(dirty))
-            adjacency = gaifman_adjacency(structure)
             new_rows = set(record.rows)
             variables = (Var(scope.name),) + tuple(
                 Var(name) for name in scope.witnesses
@@ -647,9 +647,7 @@ class AnswerIndex:
                 if cancel_token is not None:
                     cancel_token.tick("incremental.answers")
                 fault_point("incremental.answers.verify")
-                verdict = _local_verdict(
-                    structure, scope, variables, element, adjacency
-                )
+                verdict = _local_verdict(structure, scope, variables, element)
                 if verdict is None:
                     self._note_fallback()
                     return None
@@ -680,7 +678,7 @@ class AnswerIndex:
         seeds: set = set()
         for _, _, row in deltas:
             seeds.update(row)
-        dirty = _dirty_ball(structure, seeds, scope.key_radius)
+        dirty = ball_distances(structure, seeds, scope.key_radius)
         if len(dirty) > self.candidate_limit:
             self._note_fallback()
             return None
@@ -810,7 +808,6 @@ def _local_verdict(
     scope: _LocalScope,
     variables: tuple[Var, ...],
     element,
-    adjacency: dict,
 ) -> bool | None:
     """Decide ∃ȳ ψ(a, ȳ) by quantifying over B_k(a) instead of the universe.
 
@@ -820,57 +817,15 @@ def _local_verdict(
     structure, so restricting only the quantifier range loses nothing.
     Returns ``None`` when the witness space exceeds the work limit.
     """
-    ball = _ball(adjacency, element, scope.depth)
-    if len(ball) ** scope.depth > LOCAL_WITNESS_LIMIT:
+    near = ball(structure, element, scope.depth)
+    if len(near) ** scope.depth > LOCAL_WITNESS_LIMIT:
         return None
-    witnesses = sorted(ball, key=_sort_key)
+    witnesses = sorted(near, key=_sort_key)
     for combo in itertools.product(witnesses, repeat=scope.depth):
         assignment = dict(zip(variables, (element,) + combo))
         if naive_evaluate(structure, scope.body, assignment):
             return True
     return False
-
-
-def _ball(adjacency: dict, element, radius: int) -> set:
-    distances = {element: 0}
-    queue = deque((element,))
-    while queue:
-        current = queue.popleft()
-        depth = distances[current]
-        if depth >= radius:
-            continue
-        for neighbor in adjacency.get(current, ()):
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                queue.append(neighbor)
-    return set(distances)
-
-
-def _dirty_ball(structure: Structure, seeds: set, radius: int) -> set:
-    """Radius-r ball around the touched elements in the *patched* graph.
-
-    Soundness (elements whose r-neighborhood changed are inside it, even
-    across interleaved inserts and deletes) is the delta-sequence lemma
-    proved in :mod:`repro.incremental.census`.
-    """
-    from repro.structures.gaifman import gaifman_adjacency
-
-    return _ball_multi(gaifman_adjacency(structure), seeds, radius)
-
-
-def _ball_multi(adjacency: dict, seeds: set, radius: int) -> set:
-    distances = {element: 0 for element in seeds}
-    queue = deque(seeds)
-    while queue:
-        current = queue.popleft()
-        depth = distances[current]
-        if depth >= radius:
-            continue
-        for neighbor in adjacency.get(current, ()):
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                queue.append(neighbor)
-    return set(distances)
 
 
 # -- quantifier-free candidates ----------------------------------------------

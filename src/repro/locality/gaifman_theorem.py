@@ -31,7 +31,7 @@ from repro.logic.signature import Signature
 from repro.logic.syntax import Atom, Eq, Formula, Var
 from repro.logic.transform import fresh_variable, rename_free
 from repro.eval.evaluator import evaluate
-from repro.structures.gaifman import ball, distance
+from repro.structures.gaifman import ball
 from repro.structures.structure import Element, Structure
 
 __all__ = [
@@ -134,26 +134,31 @@ def scattered_tuple_exists(
 
     Exact backtracking over the candidate list (the scattered-sequence
     search of a basic local sentence). Returns a witness tuple or None.
+    Each chosen element's radius-``min_distance`` ball is computed once,
+    when it is chosen; a candidate is admissible iff it lies in none of
+    the chosen balls.
     """
     if count < 0:
         raise LocalityError(f"count must be non-negative, got {count}")
+    if min_distance < 0:
+        raise LocalityError(f"min_distance must be non-negative, got {min_distance}")
     if count == 0:
         return ()
     chosen: list[Element] = []
+    chosen_balls: list[frozenset[Element]] = []
 
     def backtrack(start: int) -> bool:
         if len(chosen) == count:
             return True
         for index in range(start, len(candidates)):
             candidate = candidates[index]
-            if all(
-                distance(structure, previous, candidate) > min_distance
-                for previous in chosen
-            ):
+            if all(candidate not in near for near in chosen_balls):
                 chosen.append(candidate)
+                chosen_balls.append(ball(structure, candidate, min_distance))
                 if backtrack(index + 1):
                     return True
                 chosen.pop()
+                chosen_balls.pop()
         return False
 
     if backtrack(0):

@@ -32,14 +32,14 @@ structure (the bounded-degree evaluator's common case) is one lookup.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 
 from repro.engine.cache import LRUCache
 from repro.incremental.census import CensusIndex
 from repro.resilience.budget import CancelToken
 from repro.resilience.faults import fault_point
-from repro.structures.gaifman import gaifman_adjacency, neighborhood
+from repro.structures.gaifman import ball_distances, neighborhood
 from repro.structures.invariants import structure_fingerprint
 from repro.structures.isomorphism import are_isomorphic
 from repro.structures.structure import Element, Structure, _sort_key
@@ -183,23 +183,8 @@ def ball_key(
     only the ball's own rows — O(|ball| · degree) per call, cheap enough
     to fan out over worker processes by the thousands.
     """
-    adjacency = gaifman_adjacency(structure)
     incidence = _row_incidence(structure)
-    distances: dict[Element, int] = {}
-    queue: deque[Element] = deque()
-    for center in centers:
-        if center not in distances:
-            distances[center] = 0
-            queue.append(center)
-    while queue:
-        current = queue.popleft()
-        depth = distances[current]
-        if depth >= radius:
-            continue
-        for neighbor in adjacency[current]:
-            if neighbor not in distances:
-                distances[neighbor] = depth + 1
-                queue.append(neighbor)
+    distances = ball_distances(structure, centers, radius)
     order = sorted(distances, key=lambda element: (distances[element], _sort_key(element)))
     index = {element: position for position, element in enumerate(order)}
     rows_by_name: dict[str, set[tuple[int, ...]]] = {}

@@ -4,6 +4,13 @@ These are the geometric primitives of every locality notion in the paper
 (§3.4): the distance d(ā, b), the radius-r ball B_r(ā), and the
 r-neighborhood N_r(ā) — the substructure induced by the ball with ā
 distinguished.
+
+:func:`ball_distances` is the one Gaifman BFS in the package: a
+multi-source, radius-cutoff walk over the memoized (and delta-patched)
+``("gaifman",)`` adjacency.  Balls, ball keys, dirty sets of the
+incremental indexes, distances, components and eccentricities all go
+through it, so a radius-r ball costs O(|B_r| · degree) and never a walk
+of the whole component.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ __all__ = [
     "gaifman_adjacency",
     "gaifman_graph",
     "distance",
+    "ball_distances",
     "ball",
     "neighborhood",
     "connected_components",
@@ -65,7 +73,18 @@ def gaifman_graph(structure: Structure) -> Structure:
     return Structure(GRAPH, structure.universe, {"E": edges})
 
 
-def _bfs_distances(structure: Structure, sources: Iterable[Element]) -> dict[Element, int]:
+def ball_distances(
+    structure: Structure, sources: Iterable[Element], radius: int | None = None
+) -> dict[Element, int]:
+    """Gaifman distance from ``sources`` to every element within ``radius``.
+
+    Multi-source BFS that stops expanding at depth ``radius``, so only
+    B_r(sources) is visited; ``radius=None`` walks the whole connected
+    component of the sources.  Every source must be in the universe.
+    The returned dict is in BFS order (non-decreasing distance).
+    """
+    if radius is not None and radius < 0:
+        raise StructureError(f"radius must be non-negative, got {radius}")
     adjacency = gaifman_adjacency(structure)
     distances: dict[Element, int] = {}
     queue: deque[Element] = deque()
@@ -77,9 +96,12 @@ def _bfs_distances(structure: Structure, sources: Iterable[Element]) -> dict[Ele
             queue.append(source)
     while queue:
         current = queue.popleft()
+        depth = distances[current]
+        if depth == radius:
+            continue
         for neighbor in adjacency[current]:
             if neighbor not in distances:
-                distances[neighbor] = distances[current] + 1
+                distances[neighbor] = depth + 1
                 queue.append(neighbor)
     return distances
 
@@ -111,17 +133,12 @@ def distance(structure: Structure, sources: Element | tuple[Element, ...], targe
     sources = _as_centers(structure, sources)
     if target not in structure:
         raise StructureError(f"element {target!r} is not in the universe")
-    distances = _bfs_distances(structure, sources)
-    return distances.get(target, math.inf)
+    return ball_distances(structure, sources).get(target, math.inf)
 
 
 def ball(structure: Structure, center: Element | tuple[Element, ...], radius: int) -> frozenset[Element]:
     """B_r(ā) = {b : d(ā, b) ≤ r}, the radius-r ball around ā."""
-    if radius < 0:
-        raise StructureError(f"radius must be non-negative, got {radius}")
-    center = _as_centers(structure, center)
-    distances = _bfs_distances(structure, center)
-    return frozenset(element for element, dist in distances.items() if dist <= radius)
+    return frozenset(ball_distances(structure, _as_centers(structure, center), radius))
 
 
 def neighborhood(
@@ -149,8 +166,7 @@ def connected_components(structure: Structure) -> list[frozenset[Element]]:
     for element in structure.universe:
         if element not in remaining:
             continue
-        distances = _bfs_distances(structure, (element,))
-        component = frozenset(distances)
+        component = frozenset(ball_distances(structure, (element,)))
         components.append(component)
         remaining -= component
     return components
@@ -163,7 +179,7 @@ def is_connected(structure: Structure) -> bool:
 
 def eccentricity(structure: Structure, element: Element) -> float:
     """Largest Gaifman distance from ``element`` (inf if disconnected)."""
-    distances = _bfs_distances(structure, (element,))
+    distances = ball_distances(structure, (element,))
     if len(distances) != structure.size:
         return math.inf
     return max(distances.values())

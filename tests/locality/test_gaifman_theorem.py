@@ -1,6 +1,8 @@
 """Tests for Gaifman's theorem machinery (Theorem 3.12)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import LocalityError
 from repro.eval.evaluator import evaluate
@@ -23,6 +25,8 @@ from repro.structures.builders import (
     undirected_cycle,
 )
 from repro.structures.gaifman import distance
+
+import strategies
 
 
 class TestDistanceFormulas:
@@ -103,12 +107,48 @@ class TestScatteredTuples:
     def test_zero_count(self):
         assert scattered_tuple_exists(undirected_chain(3), [0], 0, 1) == ()
 
+    def test_negative_min_distance_rejected(self):
+        with pytest.raises(LocalityError, match="min_distance"):
+            scattered_tuple_exists(undirected_chain(3), [0, 2], 2, -1)
+
     def test_backtracking_needed_case(self):
         # A greedy pick of 0 then 5 would block a third witness; the
         # search must backtrack to (0, 4, 8).
         chain = undirected_chain(9)
         witness = scattered_tuple_exists(chain, [0, 4, 5, 8], 3, 3)
         assert witness is not None
+
+
+def _scattered_by_distance(structure, candidates, count, min_distance):
+    """Reference search: pairwise ``distance`` checks, same backtracking order."""
+    chosen = []
+
+    def backtrack(start):
+        if len(chosen) == count:
+            return True
+        for index in range(start, len(candidates)):
+            candidate = candidates[index]
+            if all(distance(structure, previous, candidate) > min_distance for previous in chosen):
+                chosen.append(candidate)
+                if backtrack(index + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return tuple(chosen) if backtrack(0) else None
+
+
+@given(
+    structure=strategies.graphs(min_size=1, max_size=8),
+    count=st.integers(min_value=1, max_value=4),
+    min_distance=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_scattered_tuples_match_pairwise_distance_search(structure, count, min_distance, data):
+    candidates = data.draw(st.permutations(list(structure.universe)))
+    assert scattered_tuple_exists(
+        structure, candidates, count, min_distance
+    ) == _scattered_by_distance(structure, candidates, count, min_distance)
 
 
 class TestBasicLocalSentences:

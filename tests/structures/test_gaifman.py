@@ -1,13 +1,20 @@
 """Tests for the Gaifman graph, distances, balls and neighborhoods."""
 
 import math
+from collections.abc import Mapping
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.engine.engine import Engine
 from repro.errors import StructureError
+from repro.locality.neighborhoods import _row_incidence
+from repro.logic.parser import parse
 from repro.logic.signature import SET, Signature
 from repro.structures.builders import (
     directed_chain,
+    directed_cycle,
     disjoint_cycles,
     empty_graph,
     undirected_chain,
@@ -15,6 +22,7 @@ from repro.structures.builders import (
 )
 from repro.structures.gaifman import (
     ball,
+    ball_distances,
     connected_components,
     diameter,
     distance,
@@ -26,6 +34,8 @@ from repro.structures.gaifman import (
 )
 from repro.structures.isomorphism import are_isomorphic
 from repro.structures.structure import Structure
+
+import strategies
 
 
 class TestGaifmanGraph:
@@ -96,6 +106,113 @@ class TestBalls:
         chain = undirected_chain(9)
         members = ball(chain, (0, 8), 1)
         assert members == {0, 1, 7, 8}
+
+    def test_source_outside_universe_rejected(self):
+        chain = undirected_chain(5)
+        with pytest.raises(StructureError):
+            ball(chain, (0, 99), 1)
+        with pytest.raises(StructureError):
+            ball_distances(chain, (0, 99), 1)
+        with pytest.raises(StructureError):
+            ball_distances(chain, (99,))
+
+    def test_ball_distances_are_in_bfs_order(self):
+        chain = undirected_chain(9)
+        distances = ball_distances(chain, (4,), 2)
+        assert distances == {4: 0, 3: 1, 5: 1, 2: 2, 6: 2}
+        assert list(distances.values()) == sorted(distances.values())
+
+
+class _CountingAdjacency(Mapping):
+    """A stand-in for the ``("gaifman",)`` memo that counts entry reads."""
+
+    def __init__(self, adjacency):
+        self._adjacency = adjacency
+        self.reads = 0
+
+    def __getitem__(self, element):
+        self.reads += 1
+        return self._adjacency[element]
+
+    def __iter__(self):
+        return iter(self._adjacency)
+
+    def __len__(self):
+        return len(self._adjacency)
+
+
+def _count_adjacency_reads(structure: Structure) -> _CountingAdjacency:
+    counting = _CountingAdjacency(gaifman_adjacency(structure))
+    structure._cache[("gaifman",)] = counting
+    return counting
+
+
+class TestBallsAreRadiusBounded:
+    """A radius-r ball reads only the adjacency of B_{r-1}, never the component."""
+
+    def test_small_ball_on_long_cycle_reads_constant_entries(self):
+        cycle = directed_cycle(4000)
+        counting = _count_adjacency_reads(cycle)
+        assert ball(cycle, 0, 1) == {3999, 0, 1}
+        assert counting.reads <= 3
+
+    def test_pair_types_preprocessing_is_linear(self):
+        # E(x, y) | E(y, x) has quantifier rank 0, so r = 0 and the near
+        # sets are B_{2r+1} = B_1 balls of 3 elements on a directed cycle.
+        n = 2000
+        near_ball = 3
+        cycle = directed_cycle(n)
+        counting = _count_adjacency_reads(cycle)
+        stream = Engine().enumerate(cycle, parse("E(x, y) | E(y, x)"))
+        assert stream.mode == "types"
+        assert sum(1 for _ in stream) == 2 * n
+        assert counting.reads <= 4 * n * near_ball
+
+
+def _cold_copy(structure: Structure) -> Structure:
+    return Structure(
+        structure.signature,
+        structure.universe,
+        {name: set(rows) for name, rows in structure.relations.items()},
+    )
+
+
+@st.composite
+def _ball_cases(draw):
+    structure = draw(strategies.graphs(min_size=1, max_size=7))
+    universe = list(structure.universe)
+    centers = tuple(
+        draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3, unique=True))
+    )
+    radius = draw(st.integers(min_value=0, max_value=4))
+    edge = st.tuples(st.sampled_from(universe), st.sampled_from(universe))
+    updates = draw(st.lists(st.tuples(st.booleans(), edge), max_size=6))
+    return structure, centers, radius, updates
+
+
+@given(case=_ball_cases(), patched=st.booleans())
+def test_ball_and_ball_distances_agree_with_distance(case, patched):
+    structure, centers, radius, updates = case
+    if patched:
+        # Both memos present, so inserts *and* deletes patch the adjacency.
+        gaifman_adjacency(structure)
+        _row_incidence(structure)
+        for insert, row in updates:
+            if insert:
+                structure.insert("E", row)
+            else:
+                structure.delete("E", row)
+        assert ("gaifman",) in structure._cache
+    reference = _cold_copy(structure)
+    expected = {
+        element: distance(reference, centers, element)
+        for element in reference.universe
+    }
+    within = {element: d for element, d in expected.items() if d <= radius}
+    assert ball(structure, centers, radius) == frozenset(within)
+    assert ball_distances(structure, centers, radius) == within
+    reachable = {element: d for element, d in expected.items() if not math.isinf(d)}
+    assert ball_distances(structure, centers) == reachable
 
 
 class TestNeighborhoods:
